@@ -1162,8 +1162,9 @@ pub static REGISTRY: &[Spec] = &[
         slo: None,
         timing: true,
         notes: "axis = live domains, axis2 = [warmup, steady, churn] tick counts; \
-                measures wall-clock ns/tick (steady state and 1% tenant churn) and \
-                emits BENCH_scale.json with the 4x steady-state scaling gate. \
+                measures wall-clock ns/tick (steady state and 1% tenant churn) and ns \
+                per churned domain (destroy + create + tick), and emits \
+                BENCH_scale.json with the 4x steady-state scaling gate. \
                 Wall-clock: excluded from `run all` and the golden sweeps.",
         run: crate::exp::scale::run_scale,
     },

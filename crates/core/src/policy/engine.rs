@@ -71,9 +71,6 @@ pub struct PolicyEngine {
     /// is FIFO; membership tests go through the slot's `in_fifo` bit.
     congested_fifo: Vec<DomainId>,
     manager_watch_registered: bool,
-    /// `Machine::domain_generation` at the last slab resync; a tick whose
-    /// generation matches skips the domain sweep entirely.
-    synced_gen: Option<u64>,
     /// Store-wide denied total at the last health publication. While it
     /// holds still, no domain's denied counter moved and the health sweep
     /// can stay on the dirty set; when it moves, a full scan is legal.
@@ -114,7 +111,6 @@ impl PolicyEngine {
             slab: PlaneSlab::default(),
             congested_fifo: Vec::new(),
             manager_watch_registered: false,
-            synced_gen: None,
             denied_total_seen: 0,
             epoch: 0,
             stats: PlaneStats::default(),
@@ -809,23 +805,6 @@ impl PolicyEngine {
             });
         }
     }
-
-    /// Bring the slab in line with the machine's domain set. The
-    /// generation counter makes the steady-state case O(1): a tick during
-    /// which no domain was created or destroyed skips the sweep entirely.
-    /// Covers planes attached after domains already existed (tests,
-    /// mid-run install) and churn the plane never heard about.
-    fn resync_domains(&mut self, m: &Machine) {
-        let gen = m.domain_generation();
-        if self.synced_gen == Some(gen) {
-            return;
-        }
-        self.synced_gen = Some(gen);
-        for dom in m.domains() {
-            self.slab.ensure(m, dom);
-        }
-        self.slab.prune(m);
-    }
 }
 
 impl ControlPlane for PolicyEngine {
@@ -841,7 +820,10 @@ impl ControlPlane for PolicyEngine {
         if !self.collaborative {
             return;
         }
-        if !self.manager_watch_registered {
+        // A crashed plane's watches died with it; `on_recover` re-arms
+        // them, so registering here too would deliver every dom0 event
+        // twice once the plane is back.
+        if !self.manager_watch_registered && !m.is_control_down() {
             m.store.watch(DOM0, "/local");
             m.store.watch(DOM0, keys::CONTROL_ROOT);
             self.manager_watch_registered = true;
@@ -864,7 +846,7 @@ impl ControlPlane for PolicyEngine {
             // history.
             let _ = m.store.remove(DOM0, keys::state_base(dom).as_str());
         }
-        self.slab.remove(dom);
+        self.slab.remove(m, dom);
         self.congested_fifo.retain(|&d| d != dom);
         Self::each_rule(&mut self.set, |r| r.on_domain_destroyed(dom));
     }
@@ -1098,11 +1080,6 @@ impl ControlPlane for PolicyEngine {
     fn on_tick(&mut self, m: &mut Machine, s: &mut Sched) {
         let now = s.now();
         let report = self.monitor.sample(m, now);
-        if self.collaborative {
-            // Slots (and interned paths) for every live domain; O(1) via
-            // the generation check when no domain churned since last tick.
-            self.resync_domains(&*m);
-        }
         // Admission stages (anomaly budgets → quarantine).
         self.eval_point(m, s, now, Some(&report), EnforcementPoint::QueueAdmission);
         if self.collaborative {
@@ -1171,7 +1148,6 @@ impl ControlPlane for PolicyEngine {
         self.slab.clear();
         self.congested_fifo.clear();
         self.manager_watch_registered = false;
-        self.synced_gen = None;
         self.denied_total_seen = 0;
         self.epoch = 0;
         self.stats = PlaneStats::default();
@@ -1306,7 +1282,6 @@ impl ControlPlane for PolicyEngine {
         }
         let domain_count = scratch.len();
         self.slab.restore_scratch(scratch);
-        self.synced_gen = Some(m.domain_generation());
         self.denied_total_seen = m.store.denied_total();
         // Retries and protocol turnarounds the guests burned against the
         // dead incarnation must not carry over as empty token buckets — a
@@ -1525,5 +1500,189 @@ mod tests {
         plane.on_domain_created(cl.machine_mut(idx), s, probe);
         assert_eq!(plane.slab.len(), 2);
         assert!(plane.quarantined_domains().is_empty());
+    }
+
+    /// Shares one engine between the machine (installed as its plane) and
+    /// the test inspecting its slab.
+    struct Shared(Rc<std::cell::RefCell<PolicyEngine>>);
+
+    impl ControlPlane for Shared {
+        fn name(&self) -> &'static str {
+            self.0.borrow().name()
+        }
+        fn tick_period(&self) -> Option<SimDuration> {
+            self.0.borrow().tick_period()
+        }
+        fn on_domain_created(&mut self, m: &mut Machine, s: &mut Sched, dom: DomainId) {
+            self.0.borrow_mut().on_domain_created(m, s, dom);
+        }
+        fn on_domain_destroyed(&mut self, m: &mut Machine, s: &mut Sched, dom: DomainId) {
+            self.0.borrow_mut().on_domain_destroyed(m, s, dom);
+        }
+        fn on_kernel_signal(
+            &mut self,
+            m: &mut Machine,
+            s: &mut Sched,
+            dom: DomainId,
+            sig: KernelSignal,
+        ) {
+            self.0.borrow_mut().on_kernel_signal(m, s, dom, sig);
+        }
+        fn on_store_event(&mut self, m: &mut Machine, s: &mut Sched, ev: WatchEvent) {
+            self.0.borrow_mut().on_store_event(m, s, ev);
+        }
+        fn on_tick(&mut self, m: &mut Machine, s: &mut Sched) {
+            self.0.borrow_mut().on_tick(m, s);
+        }
+        fn on_crash(&mut self, m: &mut Machine, s: &mut Sched) {
+            self.0.borrow_mut().on_crash(m, s);
+        }
+        fn on_recover(&mut self, m: &mut Machine, s: &mut Sched) {
+            self.0.borrow_mut().on_recover(m, s);
+        }
+    }
+
+    /// One step of a lifecycle script. `Destroy`/`Write` pick a live
+    /// domain by index modulo the live count.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Create,
+        Destroy(u64),
+        Write(u64),
+        Crash,
+        Recover,
+        Install,
+        Advance(u64),
+    }
+
+    /// Run `script` on a Paravirt machine with an IOrchestra engine that
+    /// joins at the script's `Install`. After every step with the plane
+    /// installed and up, the slab must mirror the machine. Returns the end
+    /// state: store dump, watch count and slab.
+    fn run_lifecycle(seed: u64, script: &[Op]) -> (String, usize, String) {
+        use iorch_guestos::FileOp;
+        use iorch_hypervisor::{IoPathMode, MachineConfig, VmSpec};
+        use iorch_simcore::Simulation;
+
+        let mut sim = Simulation::new(Cluster::new());
+        let idx = sim
+            .world_mut()
+            .add_machine(MachineConfig::paper_testbed(seed, IoPathMode::Paravirt));
+        let engine = Rc::new(std::cell::RefCell::new(PolicyEngine::new(
+            IOrchestraConfig::new(seed),
+        )));
+        let mut installed = false;
+        let mut live: Vec<DomainId> = Vec::new();
+        for (step, &op) in script.iter().enumerate() {
+            let now = sim.now();
+            let (cl, s) = sim.parts_mut();
+            let pick = |live: &[DomainId], i: u64| live[(i % live.len() as u64) as usize];
+            match op {
+                Op::Create => {
+                    live.push(cl.create_domain(s, idx, VmSpec::new(1, 1).with_disk_gb(4), |_| {}))
+                }
+                Op::Destroy(i) if !live.is_empty() => {
+                    let dom = pick(&live, i);
+                    live.retain(|&d| d != dom);
+                    cl.destroy_domain(s, idx, dom);
+                }
+                Op::Write(i) if !live.is_empty() => {
+                    let dom = pick(&live, i);
+                    let file = cl
+                        .machine_mut(idx)
+                        .kernel_mut(dom)
+                        .and_then(|k| k.create_file(8 << 20).ok())
+                        .expect("room for a file");
+                    let op = FileOp::Write {
+                        file,
+                        offset: 0,
+                        len: 2 << 20,
+                    };
+                    cl.submit_op(s, idx, dom, 0, op, None);
+                }
+                Op::Destroy(_) | Op::Write(_) => {}
+                Op::Crash => Cluster::crash_control(cl, s, idx),
+                Op::Recover => Cluster::recover_control(cl, s, idx),
+                Op::Install => {
+                    cl.install_control(s, idx, Box::new(Shared(Rc::clone(&engine))));
+                    installed = true;
+                }
+                Op::Advance(ms) => {
+                    sim.run_until(now + SimDuration::from_millis(ms));
+                }
+            }
+            let m = sim.world().machine(idx);
+            if installed && !m.is_control_down() {
+                let ctx = format!("seed {seed:#x} step {step} {op:?}");
+                engine.borrow().slab.assert_mirrors(m, &ctx);
+            }
+        }
+        let m = sim.world().machine(idx);
+        let slab = format!("{:?}", engine.borrow().slab);
+        (format!("{:?}", m.store.dump()), m.store.watch_count(), slab)
+    }
+
+    /// A random lifecycle script: `steps` operations, each followed by a
+    /// short advance of simulated time, at most six live domains.
+    fn random_script(rng: &mut SimRng, steps: usize) -> Vec<Op> {
+        let mut script = Vec::new();
+        let mut live = 0u32;
+        for _ in 0..steps {
+            let op = match rng.below(10) {
+                0..=2 if live < 6 => Op::Create,
+                0..=3 => Op::Destroy(rng.next_u64()),
+                4..=6 => Op::Write(rng.next_u64()),
+                7 => Op::Crash,
+                _ => Op::Recover,
+            };
+            match op {
+                Op::Create => live += 1,
+                Op::Destroy(_) => live = live.saturating_sub(1),
+                _ => {}
+            }
+            script.push(op);
+            script.push(Op::Advance(rng.range(5, 400)));
+        }
+        script
+    }
+
+    /// The lifecycle hooks alone keep the slab exact: across random
+    /// create/destroy/crash/recover/write sequences with the plane
+    /// installed at a random point (possibly while crashed, possibly
+    /// after domains were destroyed and written to), the slab mirrors
+    /// the machine after every step the plane is up for.
+    #[test]
+    fn lifecycle_hooks_keep_the_slab_exact() {
+        iorch_simcore::gen::for_each_seed(0x11FE_C7C1, 24, |seed, rng| {
+            let mut script = random_script(rng, 40);
+            let at = rng.below(script.len() as u64 + 1) as usize;
+            script.insert(at, Op::Install);
+            // Finish with the plane up so the final state is checked too.
+            script.push(Op::Recover);
+            run_lifecycle(seed, &script);
+        });
+    }
+
+    /// A plane installed after its machine already hosts domains ends in
+    /// the same state as one installed first: `install_control` replays
+    /// `on_domain_created`, so the guest default keys, the guest
+    /// `virt_dev` watches and the slab all match.
+    #[test]
+    fn late_install_matches_installing_first() {
+        iorch_simcore::gen::for_each_seed(0x1A7E_1257, 16, |seed, rng| {
+            let doms = 1 + rng.below(5) as usize;
+            let suffix = random_script(rng, 30);
+            let mut first = vec![Op::Install];
+            first.extend(std::iter::repeat_n(Op::Create, doms));
+            first.extend(&suffix);
+            let mut late = vec![Op::Create; doms];
+            late.push(Op::Install);
+            late.extend(&suffix);
+            let (store_f, watches_f, slab_f) = run_lifecycle(seed, &first);
+            let (store_l, watches_l, slab_l) = run_lifecycle(seed, &late);
+            assert_eq!(watches_l, watches_f, "seed {seed:#x}: watch count");
+            assert!(store_l == store_f, "seed {seed:#x}: store contents differ");
+            assert!(slab_l == slab_f, "seed {seed:#x}: slab differs");
+        });
     }
 }

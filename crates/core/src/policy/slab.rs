@@ -50,6 +50,7 @@ use crate::keys::DomainKeys;
 
 /// Per-domain plane state, one per machine slot.
 #[derive(Default)]
+#[cfg_attr(test, derive(Debug))]
 pub(crate) struct DomSlot {
     /// Occupying domain; slot state is only valid for this id.
     pub dom: Option<DomainId>,
@@ -86,6 +87,7 @@ pub(crate) struct DomSlot {
 
 /// The engine's per-domain state: slots plus the dirty-set lists.
 #[derive(Default)]
+#[cfg_attr(test, derive(Debug))]
 pub(crate) struct PlaneSlab {
     slots: Vec<DomSlot>,
     /// Congestion-attention set (may hold stale/duplicate ids; sweeps
@@ -297,10 +299,12 @@ impl PlaneSlab {
         self.health_dirty.clear();
     }
 
-    /// Forget a domain: reset its slot and purge it from every list.
-    pub fn remove(&mut self, dom: DomainId) {
-        if let Some(s) = self.slots.iter_mut().find(|s| s.dom == Some(dom)) {
-            *s = DomSlot::default();
+    /// Forget a domain: reset its slot and purge it from every list. Runs
+    /// from `on_domain_destroyed`, before the machine frees the slot, so
+    /// the slot is found by index.
+    pub fn remove(&mut self, m: &Machine, dom: DomainId) {
+        if let Some(i) = self.live_index(m, dom) {
+            self.slots[i] = DomSlot::default();
         }
         for list in [
             &mut self.attention,
@@ -311,24 +315,6 @@ impl PlaneSlab {
         ] {
             list.retain(|&d| d != dom);
         }
-    }
-
-    /// Drop list entries for domains the machine no longer knows (or
-    /// whose slot was recycled). Behaviour-neutral — sweeps skip such
-    /// entries anyway — but keeps list sizes bounded after churn the
-    /// plane never heard about.
-    pub fn prune(&mut self, m: &Machine) {
-        let slots = &self.slots;
-        let live = |dom: DomainId| {
-            m.slot_of(dom)
-                .and_then(|i| slots.get(i))
-                .is_some_and(|s| s.dom == Some(dom))
-        };
-        self.attention.retain(|&d| live(d));
-        self.health_dirty.retain(|&d| live(d));
-        self.flush_active.retain(|&d| live(d));
-        self.kernel_dirty.retain(|&d| live(d));
-        self.store_dirty.retain(|&d| live(d));
     }
 
     /// Reset to boot state (plane crash: process memory dies with dom0).
@@ -363,6 +349,53 @@ impl PlaneSlab {
     #[cfg_attr(not(test), allow(dead_code))]
     pub fn len(&self) -> usize {
         self.slots.len()
+    }
+}
+
+#[cfg(test)]
+impl PlaneSlab {
+    /// Assert that the slab mirrors `m` exactly, the invariant the
+    /// lifecycle hooks keep on their own: the occupied slots are
+    /// the live domains, each in its machine slot with its own keys; both
+    /// dirty-page mirrors equal ground truth; and no list names a dead
+    /// domain.
+    pub fn assert_mirrors(&self, m: &Machine, ctx: &str) {
+        let live: Vec<DomainId> = m.domains().collect();
+        let mut occupied: Vec<DomainId> = self.slots.iter().filter_map(|s| s.dom).collect();
+        occupied.sort_unstable();
+        assert_eq!(occupied, live, "{ctx}: occupied slots");
+        for (i, s) in self.slots.iter().enumerate() {
+            let Some(dom) = s.dom else { continue };
+            assert_eq!(m.slot_of(dom), Some(i), "{ctx}: {dom:?} slot");
+            assert_eq!(
+                format!("{:?}", s.keys),
+                format!("{:?}", Some(DomainKeys::new(dom))),
+                "{ctx}: {dom:?} keys"
+            );
+            let dirty = m.domain(dom).is_some_and(|d| d.kernel.dirty_pages() > 0);
+            assert_eq!(s.kernel_dirty, dirty, "{ctx}: {dom:?} kernel_dirty");
+        }
+        let store_dirty: Vec<DomainId> = live
+            .iter()
+            .copied()
+            .filter(|&d| {
+                m.store
+                    .read_ref(DOM0, &DomainKeys::new(d).has_dirty_pages)
+                    .is_ok_and(|v| v == "1")
+            })
+            .collect();
+        assert_eq!(self.store_dirty, store_dirty, "{ctx}: dirty_domains");
+        for list in [
+            &self.attention,
+            &self.health_dirty,
+            &self.flush_active,
+            &self.kernel_dirty,
+            &self.store_dirty,
+        ] {
+            for d in list {
+                assert!(m.slot_of(*d).is_some(), "{ctx}: dead {d:?} listed");
+            }
+        }
     }
 }
 

@@ -254,3 +254,29 @@ fn dif_and_baseline_planes_never_touch_the_store() {
         assert!(m.store.read(DOM0, keys::congested(dom)).is_err());
     }
 }
+
+/// Regression: a domain created while the plane is crashed must not
+/// re-register dom0's manager watches — recovery registers them, and a
+/// second copy would deliver every dom0 event under `/local` twice.
+/// Creating the second domain during the outage or after recovery must
+/// leave the same watch set.
+#[test]
+fn domain_created_during_plane_outage_does_not_duplicate_watches() {
+    let watches = |create_while_down: bool| {
+        let mut sim = Simulation::new(Cluster::new());
+        let (cl, s) = sim.parts_mut();
+        let idx = SystemKind::IOrchestra.provision(cl, s, 11);
+        let spec = || VmSpec::new(1, 1).with_disk_gb(4);
+        cl.create_domain(s, idx, spec(), |_| {});
+        Cluster::crash_control(cl, s, idx);
+        if create_while_down {
+            cl.create_domain(s, idx, spec(), |_| {});
+            Cluster::recover_control(cl, s, idx);
+        } else {
+            Cluster::recover_control(cl, s, idx);
+            cl.create_domain(s, idx, spec(), |_| {});
+        }
+        sim.world().machine(idx).store.watch_count()
+    };
+    assert_eq!(watches(true), watches(false));
+}

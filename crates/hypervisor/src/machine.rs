@@ -252,9 +252,6 @@ pub struct Machine {
     slot_free: Vec<usize>,
     /// High-water slot count: every live domain's slot is `< slot_high`.
     slot_high: usize,
-    /// Bumped on every domain create/destroy — an O(1) staleness check
-    /// for control planes mirroring the domain set in slot-indexed state.
-    domain_gen: u64,
     vdisk_cursor: u64,
     stream_to_dom: HashMap<StreamId, DomainId>,
     control: Option<Box<dyn ControlPlane>>,
@@ -313,9 +310,18 @@ impl Cluster {
     }
 
     /// Install the policy layer on a machine and start its periodic tick.
+    /// Domains that already exist are announced through
+    /// [`ControlPlane::on_domain_created`] in ascending id order, so a
+    /// plane installed late learns of them through the same hook as of
+    /// the domains created after it.
     pub fn install_control(&mut self, s: &mut Sched, idx: usize, control: Box<dyn ControlPlane>) {
         let period = control.tick_period();
         self.machines[idx].control = Some(control);
+        let existing: Vec<DomainId> = self.machines[idx].domains().collect();
+        for dom in existing {
+            self.machines[idx].with_control(s, |cp, m, s| cp.on_domain_created(m, s, dom));
+            Cluster::drain_results(self, idx, s);
+        }
         if let Some(p) = period {
             s.schedule_every(p, move |cl: &mut Cluster, s| {
                 Cluster::control_tick(cl, idx, s);
@@ -706,7 +712,6 @@ impl Machine {
             next_domid: 1,
             slot_free: Vec::new(),
             slot_high: 0,
-            domain_gen: 0,
             vdisk_cursor: 0,
             stream_to_dom: HashMap::new(),
             control: None,
@@ -777,13 +782,6 @@ impl Machine {
         self.slot_high
     }
 
-    /// Monotonic generation bumped on every domain create/destroy. Equal
-    /// generations mean an identical live-domain set, so a control plane
-    /// can skip per-domain resync in O(1).
-    pub fn domain_generation(&self) -> u64 {
-        self.domain_gen
-    }
-
     /// Capacity snapshot a cluster placement layer scores against: static
     /// topology bounds plus current VCPU/memory commitments.
     pub fn placement_caps(&self) -> PlacementCaps {
@@ -838,7 +836,6 @@ impl Machine {
             self.slot_high += 1;
             s
         });
-        self.domain_gen += 1;
         let cores = self
             .topology
             .place(id, spec.vcpus, PlacementPolicy::PreferSameSocket);
@@ -895,7 +892,6 @@ impl Machine {
     fn destroy_domain_inner(&mut self, dom: DomainId) {
         if let Some(d) = self.domains.remove(&dom) {
             self.slot_free.push(d.slot);
-            self.domain_gen += 1;
             self.topology.unplace(&d.cores);
             self.stream_to_dom.remove(&d.kernel.stream());
             self.storage.drain_stream(d.kernel.stream());
@@ -1516,7 +1512,6 @@ mod tests {
         assert_eq!(m.slot_of(a), Some(0));
         assert_eq!(m.slot_of(b), Some(1));
         assert_eq!(m.slot_count(), 2);
-        let gen0 = m.domain_generation();
         // Churn: each destroy frees the slot, each create reuses it, the
         // DomainId keeps advancing and the slot high-water never grows.
         let mut last = b;
@@ -1530,7 +1525,6 @@ mod tests {
         let m = cl.machine(idx);
         assert_eq!(m.slot_count(), 2, "slot space bounded by peak domains");
         assert_eq!(m.slot_of(last), Some(1));
-        assert_eq!(m.domain_generation(), gen0 + 64, "one bump per lifecycle");
         assert!(m.slot_of(b).is_none(), "dead domains have no slot");
     }
 
