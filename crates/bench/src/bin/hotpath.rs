@@ -1,6 +1,6 @@
 //! Hot-path benchmark gate: measures the optimized store/control-plane
 //! fast paths against the frozen seed implementation
-//! (`iorch_hypervisor::xenstore_legacy`) with one harness in one process,
+//! (`iorch_bench::oracle::store`) with one harness in one process,
 //! and writes `BENCH_hotpath.json` at the repo root.
 //!
 //! Exits non-zero if the gate fails:
@@ -8,7 +8,7 @@
 //!     per-tick control-plane cost must be at least 2x faster than the
 //!     seed baseline;
 //!   * scheduler churn (timer-wheel engine) must be at least 2x faster
-//!     than the frozen binary-heap engine (`iorch_simcore::event_legacy`);
+//!     than the frozen binary-heap engine (`iorch_bench::oracle::scheduler`);
 //!   * store-write cost must be sub-linear in non-matching watches
 //!     (1 vs 256 watchers on disjoint subtrees within 1.5x).
 //!
@@ -16,10 +16,10 @@
 //! `IORCH_BENCH_QUICK=1` for a fast smoke run (same gate, noisier).
 
 use iorch_bench::exp::{gate, Figure};
+use iorch_bench::oracle::scheduler::Scheduler as LegacyScheduler;
+use iorch_bench::oracle::store::XenStore as LegacyStore;
 use iorch_bench::timing::{Sample, Timer};
-use iorch_hypervisor::xenstore_legacy::XenStore as LegacyStore;
 use iorch_hypervisor::{DomainId, Perms, XenStore, DOM0};
-use iorch_simcore::event_legacy::Scheduler as LegacyScheduler;
 use iorch_simcore::{SimDuration, Simulation};
 use iorchestra::keys::{self, val, DomainKeys};
 
@@ -218,7 +218,7 @@ const CHURN_TIMERS: u64 = 1024;
 /// 1k-domain scale target, the shape that dominated the event engine's
 /// cost. Current is the timer wheel (O(1) schedule, direct-slot cancel,
 /// amortized O(1) pop); baseline is the frozen binary-heap engine with
-/// its tombstone set (`iorch_simcore::event_legacy`), which pays O(log n)
+/// its tombstone set (`iorch_bench::oracle::scheduler`), which pays O(log n)
 /// sifts plus tombstone hashing at this depth. One cycle = 1024
 /// schedules, 512 cancellations, drain to completion.
 fn bench_scheduler_churn(t: &Timer) -> Pair {

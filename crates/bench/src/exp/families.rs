@@ -1,6 +1,6 @@
 //! The experiment registry: every paper figure/table as a [`Spec`].
 //!
-//! Full profiles replicate the historical `benches/exp_*.rs` parameters
+//! Full profiles replicate the historical per-figure bench parameters
 //! and seeds exactly (grids, warmup/measure spans, repeat pooling), so
 //! the measured columns in EXPERIMENTS.md remain regenerable from these
 //! specs. Smoke profiles shrink the axes and spans to gate-sized runs
@@ -18,9 +18,7 @@ use iorch_simcore::{SimDuration, SimTime, Simulation};
 use iorch_workloads::{
     recorder, spawn_multistream, spawn_ycsb, MultiStreamParams, VmRef, YcsbParams,
 };
-use iorchestra::{
-    FunctionSet, IOrchestraConfig, IOrchestraPlane, PolicyEngine, PolicySet, SystemKind,
-};
+use iorchestra::{FunctionSet, IOrchestraConfig, PolicyEngine, PolicySet, SystemKind};
 
 use crate::exp::{telemetry_run, Ctx, Figure, RunProfile, Spec};
 use crate::runner::{
@@ -631,7 +629,11 @@ fn cosched_with_cfg(mk: impl FnOnce(&mut IOrchestraConfig), seed: u64) -> (f64, 
     ));
     let mut pcfg = IOrchestraConfig::new(seed).with_functions(FunctionSet::cosched_only());
     mk(&mut pcfg);
-    cl.install_control(s, idx, Box::new(IOrchestraPlane::new(pcfg)));
+    cl.install_control(
+        s,
+        idx,
+        Box::new(PolicyEngine::new(PolicySet::iorchestra(pcfg))),
+    );
     let dom = cl.create_domain(s, idx, VmSpec::new(10, 10).with_disk_gb(60), |_| {});
     let rec = recorder(SimTime::from_secs(1));
     spawn_multistream(
@@ -787,7 +789,7 @@ fn run_ablation(ctx: &Ctx) -> Vec<Figure> {
 }
 
 // ====================================================================
-// Live telemetry (the 10th exp_* target)
+// Live telemetry
 // ====================================================================
 
 fn run_telemetry(ctx: &Ctx) -> Vec<Figure> {

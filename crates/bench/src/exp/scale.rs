@@ -33,7 +33,7 @@ use std::time::Instant;
 
 use iorch_hypervisor::{Cluster, ControlPlane, IoPathMode, MachineConfig, VmSpec};
 use iorch_simcore::Simulation;
-use iorchestra::{IOrchestraConfig, PolicyEngine};
+use iorchestra::{IOrchestraConfig, PolicyEngine, PolicySet};
 
 use super::{gate, Ctx, Figure};
 
@@ -56,7 +56,7 @@ impl Harness {
         let mut sim = Simulation::new(Cluster::new());
         let (cl, s) = sim.parts_mut();
         let idx = cl.add_machine(MachineConfig::paper_testbed(seed, IoPathMode::Paravirt));
-        let mut plane = PolicyEngine::new(IOrchestraConfig::new(seed));
+        let mut plane = PolicyEngine::new(PolicySet::iorchestra(IOrchestraConfig::new(seed)));
         let mut ids = Vec::with_capacity(doms as usize);
         for _ in 0..doms {
             let dom = cl.create_domain(s, idx, vm(), |_| {});

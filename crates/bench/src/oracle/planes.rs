@@ -1,15 +1,16 @@
 //! Frozen pre-redesign control planes, kept as the differential oracle.
 //!
 //! These are the hand-fused plane structs exactly as they stood before the
-//! [`policy`](crate::policy) pipeline redesign: [`LegacyBaselinePlane`],
+//! [`policy`](iorchestra::policy) pipeline redesign: [`LegacyBaselinePlane`],
 //! [`LegacyDifPlane`], and [`LegacyIOrchestraPlane`] (Algorithms 1–3 plus
-//! the PR 5 robustness machinery, hardcoded into one `on_tick`). The
-//! equivalence suite replays every tracedump fault scenario against both a
-//! legacy plane and the pipeline-expressed policy set and asserts the
-//! rendered traces are **byte-identical** — the same role the
-//! `xenstore_legacy` model plays for the store. New code should use
-//! [`PolicySet`](crate::policy::PolicySet) constructors instead; nothing
-//! here is wired into [`SystemKind`](crate::SystemKind) provisioning.
+//! the flush-deadline and quarantine machinery, hardcoded into one
+//! `on_tick`). The equivalence suite replays every tracedump fault
+//! scenario against both a legacy plane and the pipeline-expressed policy
+//! set and asserts the rendered traces are **byte-identical** — the same
+//! role the [`store`](super::store) model plays for the store. New code
+//! should use [`PolicySet`](iorchestra::PolicySet) constructors instead;
+//! nothing here is wired into [`SystemKind`](iorchestra::SystemKind)
+//! provisioning.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
@@ -21,13 +22,13 @@ use iorch_hypervisor::{
 use iorch_simcore::trace::{Decision, TraceEventKind};
 use iorch_simcore::{trace_event, SimDuration, SimRng, SimTime};
 
-use crate::anomaly::AnomalyDetector;
-use crate::formulas::{
+use iorchestra::anomaly::AnomalyDetector;
+use iorchestra::formulas::{
     drr_quantum, inverse_latency_weights, ratio_changed, socket_io_share, socket_process_weight,
 };
-use crate::keys::{self, val, DomainKeys};
-use crate::monitor::MonitoringModule;
-use crate::planes::{IOrchestraConfig, PlaneStats};
+use iorchestra::keys::{self, val, DomainKeys};
+use iorchestra::monitor::MonitoringModule;
+use iorchestra::planes::{IOrchestraConfig, PlaneStats};
 
 // --------------------------------------------------------------------
 // Baseline / SDC
@@ -121,7 +122,7 @@ impl ControlPlane for LegacyDifPlane {
         if rep.device_underutilized {
             // Idleness is broadcast: every VM with dirty pages flushes now.
             // (The simultaneous flush is DIF's weakness vs. Algorithm 1.)
-            for dom in m.domain_ids() {
+            for dom in m.domains().collect::<Vec<_>>() {
                 let dirty = m.domain(dom).map(|d| d.kernel.dirty_pages()).unwrap_or(0);
                 if dirty > 0 {
                     m.cp_remote_sync(s, dom);
@@ -336,7 +337,7 @@ impl LegacyIOrchestraPlane {
         // when tracing is on (the Vec is only built inside the trace arm).
         let mut candidates: Vec<(u32, u64)> = Vec::new();
         let tracing = iorch_simcore::trace::enabled();
-        for dom in m.domain_ids() {
+        for dom in m.domains().collect::<Vec<_>>() {
             // Skip domains with a flush in flight, in post-timeout backoff,
             // or quarantined — the argmax over the rest IS the fallback to
             // the next-dirtiest domain.
@@ -450,7 +451,7 @@ impl LegacyIOrchestraPlane {
     /// Pure change-detection in plane memory: a steady-state tick performs
     /// zero store operations.
     fn publish_health(&mut self, m: &mut Machine) {
-        for dom in m.domain_ids() {
+        for dom in m.domains().collect::<Vec<_>>() {
             let tuple = (
                 self.flush_timeouts_by_dom.get(&dom).copied().unwrap_or(0),
                 self.quarantined.contains(&dom),
@@ -529,7 +530,7 @@ impl LegacyIOrchestraPlane {
     /// guest delivery) is re-issued under a fresh epoch, which the guest's
     /// epoch cursor makes idempotent.
     fn reconcile_congestion(&mut self, m: &mut Machine, now: SimTime) {
-        for dom in m.domain_ids() {
+        for dom in m.domains().collect::<Vec<_>>() {
             if self.quarantined.contains(&dom) {
                 continue;
             }
@@ -632,7 +633,7 @@ impl LegacyIOrchestraPlane {
         for c in &m.iocores {
             lat_by_socket.insert(c.socket(), c.avg_latency().as_micros_f64());
         }
-        let dom_ids = m.domain_ids();
+        let dom_ids = m.domains().collect::<Vec<_>>();
         let vm_share = 1.0 / dom_ids.len().max(1) as f64;
         let device_bw = m.storage.device_bandwidth();
         let sockets = m.topology.sockets();
@@ -949,7 +950,7 @@ impl ControlPlane for LegacyIOrchestraPlane {
         // Anomaly detection on store-write and denied-operation rates.
         // Bases advance for every domain (so an operator clear only counts
         // *new* traffic), but only unquarantined domains feed the detector.
-        for dom in m.domain_ids() {
+        for dom in m.domains().collect::<Vec<_>>() {
             let count = m.store.write_count(dom);
             let base = self.write_count_base.insert(dom, count).unwrap_or(0);
             let delta = count.saturating_sub(base);
@@ -977,7 +978,7 @@ impl ControlPlane for LegacyIOrchestraPlane {
         // Guest drivers republish their dirty-page counts each period so
         // the argmax in Algorithm 1 works from fresh numbers.
         if self.cfg.functions.flush {
-            for dom in m.domain_ids() {
+            for dom in m.domains().collect::<Vec<_>>() {
                 if self.quarantined.contains(&dom) {
                     continue;
                 }
@@ -1041,7 +1042,7 @@ impl ControlPlane for LegacyIOrchestraPlane {
         m.store.watch(DOM0, "/local");
         m.store.watch(DOM0, keys::CONTROL_ROOT);
         self.manager_watch_registered = true;
-        let domains = m.domain_ids();
+        let domains = m.domains().collect::<Vec<_>>();
         for &dom in &domains {
             // Anomaly bases seed at the *current* counters: traffic that
             // happened while dom0 was down is not a post-recovery burst.

@@ -1,11 +1,11 @@
 //! Frozen binary-heap implementation of the event scheduler.
 //!
 //! This is the `Scheduler` exactly as it shipped before the hierarchical
-//! timer-wheel rewrite (`crate::event`): a `BinaryHeap` of timestamped
-//! entries with a `HashSet` of cancellation tombstones, FIFO tie-break at
-//! equal timestamps via a monotonic sequence number.
+//! timer-wheel rewrite ([`iorch_simcore::Scheduler`]): a `BinaryHeap` of
+//! timestamped entries with a `HashSet` of cancellation tombstones, FIFO
+//! tie-break at equal timestamps via a monotonic sequence number.
 //!
-//! It is kept verbatim for two jobs, on the `xenstore_legacy` pattern:
+//! It is kept verbatim for two jobs, on the [`store`](super::store) pattern:
 //!
 //! 1. **Differential oracle** — randomized tests drive the same
 //!    schedule/cancel/periodic/run script through this scheduler and the
@@ -23,7 +23,7 @@
 //! counts as executed, firing nothing.
 //!
 //! `pop_next` and `advance_to` are public here (unlike the production
-//! scheduler, which is driven through [`crate::Simulation`]) so the
+//! scheduler, which is driven through [`iorch_simcore::Simulation`]) so the
 //! oracle and the bench can run the event loop by hand.
 
 use std::cell::Cell;
@@ -31,7 +31,7 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 use std::rc::Rc;
 
-use crate::time::{SimDuration, SimTime};
+use iorch_simcore::{SimDuration, SimTime};
 
 /// A callback scheduled to run at a simulated instant (legacy engine).
 pub type Callback<M> = Box<dyn FnOnce(&mut M, &mut Scheduler<M>)>;

@@ -8,12 +8,12 @@
 //! It is kept verbatim for two jobs:
 //!
 //! 1. **Differential oracle** — randomized tests drive the same operation
-//!    sequence through this store and the optimized `crate::xenstore`
-//!    implementation and assert identical reads, final trees and watch
-//!    event streams (see `tests/store_differential.rs`).
-//! 2. **Bench baseline** — the `hotpath` bench binary in `iorch-bench`
-//!    times both implementations with the same harness so the recorded
-//!    speedups in `BENCH_hotpath.json` are measured, not estimated.
+//!    sequence through this store and the optimized
+//!    [`iorch_hypervisor::XenStore`] and assert identical reads, final
+//!    trees and watch event streams (see `tests/store_differential.rs`).
+//! 2. **Bench baseline** — the `hotpath` bench binary times both
+//!    implementations with the same harness so the recorded speedups in
+//!    `BENCH_hotpath.json` are measured, not estimated.
 //!
 //! Do not "fix" or optimize this module; its value is that it does not
 //! change. The one seed bug it preserves (remove fires a watch event only
@@ -22,8 +22,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::domain::DomainId;
-use crate::xenstore::{Perms, StoreError, TxnId, WatchId, DOM0};
+use iorch_hypervisor::{DomainId, Perms, StoreError, TxnId, WatchId, DOM0};
 
 /// A queued watch firing in the seed representation: owned `String`s.
 #[derive(Clone, PartialEq, Eq, Debug)]

@@ -49,10 +49,12 @@ fn tmp(name: &str) -> std::path::PathBuf {
 
 /// Run `name` twice at the smoke profile under `seed`; assert the
 /// artifact trees are byte-identical, schema-valid, and non-trivial.
-fn assert_golden(name: &str, seed: u64) {
+/// `prefix` names the calling test, so tests running in parallel never
+/// share (and race on) a directory.
+fn assert_golden(prefix: &str, name: &str, seed: u64) {
     let spec = exp::find(name).unwrap_or_else(|| panic!("unknown experiment {name}"));
-    let d1 = tmp(&format!("golden_{name}_{seed}_a"));
-    let d2 = tmp(&format!("golden_{name}_{seed}_b"));
+    let d1 = tmp(&format!("{prefix}_{name}_{seed}_a"));
+    let d2 = tmp(&format!("{prefix}_{name}_{seed}_b"));
     exp::run_spec(spec, Profile::Smoke, seed, &d1, true).unwrap();
     exp::run_spec(spec, Profile::Smoke, seed, &d2, true).unwrap();
     let s1 = snapshot(&d1);
@@ -85,7 +87,7 @@ fn assert_golden(name: &str, seed: u64) {
 #[test]
 fn smoke_goldens_subset() {
     for name in ["motivation", "fig9", "telemetry"] {
-        assert_golden(name, 7);
+        assert_golden("golden_subset", name, 7);
     }
 }
 
@@ -101,7 +103,7 @@ fn smoke_goldens_all_experiments_seed_swept() {
             continue;
         }
         for seed in [7u64, 42, 1337] {
-            assert_golden(spec.name, seed);
+            assert_golden("golden_sweep", spec.name, seed);
         }
     }
 }

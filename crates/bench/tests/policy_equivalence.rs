@@ -2,13 +2,13 @@
 //! compares, re-expressed as a [`PolicySet`] on the [`PolicyEngine`],
 //! must reproduce the pre-redesign hand-fused plane's trace **byte for
 //! byte** — same timeline, same decision log — across all tracedump
-//! scenarios. The frozen pre-redesign planes live in `iorchestra::legacy`
+//! scenarios. The frozen pre-redesign planes live in `iorch_bench::oracle`
 //! and exist only so this file can diff against them.
 
+use iorch_bench::oracle::planes::{LegacyBaselinePlane, LegacyDifPlane, LegacyIOrchestraPlane};
 use iorch_bench::tracereplay::{run_scenario_with, SCENARIOS};
 use iorch_hypervisor::{Cluster, ControlPlane, IoPathMode, MachineConfig, Sched};
 use iorch_simcore::trace;
-use iorchestra::legacy::{LegacyBaselinePlane, LegacyDifPlane, LegacyIOrchestraPlane};
 use iorchestra::{FunctionSet, IOrchestraConfig, PolicyEngine, PolicySet};
 
 /// Every plane variant under test: the paper's full system, its three

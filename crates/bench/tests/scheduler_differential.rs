@@ -1,6 +1,6 @@
 //! Differential oracle: the timer-wheel [`iorch_simcore::Scheduler`] must
 //! fire the exact same events in the exact same order as the frozen
-//! binary-heap engine [`iorch_simcore::event_legacy`].
+//! binary-heap engine [`iorch_bench::oracle::scheduler`].
 //!
 //! Random op scripts (schedule with nested follow-ups, cancel, periodic
 //! with flag/immediate cancellation, horizon runs, final drain) are
@@ -15,7 +15,8 @@
 
 use std::cell::Cell;
 
-use iorch_simcore::{event_legacy, gen, SimDuration, SimRng, SimTime, Simulation};
+use iorch_bench::oracle::scheduler as event_legacy;
+use iorch_simcore::{gen, SimDuration, SimRng, SimTime, Simulation};
 
 type Log = Vec<(u64, u32)>;
 

@@ -1,5 +1,5 @@
 //! Differential tests: the optimized store must be observationally
-//! identical to the frozen seed implementation (`xenstore_legacy`) —
+//! identical to the frozen seed implementation (`oracle::store`) —
 //! same read results, same tree contents, same watch-event streams, same
 //! per-domain write counts — for arbitrary operation interleavings.
 //!
@@ -10,7 +10,7 @@
 //! removals strictly below the removed root; a dedicated test pins the
 //! exact shapes of both streams.
 
-use iorch_hypervisor::xenstore_legacy::XenStore as LegacyStore;
+use iorch_bench::oracle::store::XenStore as LegacyStore;
 use iorch_hypervisor::{DomainId, Perms, StoreError, XenStore, DOM0};
 use iorch_simcore::{gen, SimRng};
 

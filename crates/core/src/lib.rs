@@ -27,7 +27,8 @@
 //! enforcement points, staged rules, engine-owned enforcement. See the
 //! [`policy`] module for the architecture and its determinism contract;
 //! [`SystemKind`] provisions any plane onto a machine. The pre-redesign
-//! hand-fused planes survive in [`legacy`] as the byte-identity oracle.
+//! hand-fused planes survive in `iorch_bench::oracle::planes` as the
+//! byte-identity oracle.
 
 #![warn(missing_docs)]
 
@@ -35,7 +36,6 @@ pub mod anomaly;
 pub mod cluster;
 pub mod formulas;
 pub mod keys;
-pub mod legacy;
 pub mod monitor;
 pub mod netbuf;
 pub mod planes;
@@ -45,6 +45,6 @@ mod system;
 pub use anomaly::{AnomalyDetector, AnomalyParams};
 pub use cluster::{ClusterConfig, ClusterTier, NodeAgent, NodeCaps};
 pub use monitor::{MonitorReport, MonitoringModule};
-pub use planes::{FunctionSet, IOrchestraConfig, IOrchestraPlane, PlaneStats};
+pub use planes::{FunctionSet, IOrchestraConfig, PlaneStats};
 pub use policy::{Action, PolicyCtx, PolicyEngine, PolicySet, Rule, Stage};
 pub use system::SystemKind;

@@ -6,7 +6,7 @@
 //! ([`PolicySet::iorchestra`], [`PolicySet::baseline`], [`PolicySet::sdc`],
 //! [`PolicySet::dif`]) assemble them into the planes §5 of the paper
 //! compares, byte-identical in trace output to the frozen originals in
-//! `crate::legacy`.
+//! `iorch_bench::oracle::planes`.
 
 use std::collections::BTreeMap;
 
@@ -487,14 +487,5 @@ impl PolicySet {
             "dif" => PolicySet::dif(),
             _ => return None,
         })
-    }
-}
-
-impl From<IOrchestraConfig> for PolicySet {
-    /// A bare config means the paper's full system: the historic
-    /// `IOrchestraPlane::new(cfg)` spelling builds
-    /// [`PolicySet::iorchestra`] through this conversion.
-    fn from(cfg: IOrchestraConfig) -> Self {
-        PolicySet::iorchestra(cfg)
     }
 }

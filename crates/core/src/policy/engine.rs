@@ -85,12 +85,8 @@ pub struct PolicyEngine {
 }
 
 impl PolicyEngine {
-    /// Build an engine for a policy set. Accepts an
-    /// [`IOrchestraConfig`](crate::IOrchestraConfig) directly (via
-    /// `From`), which yields [`PolicySet::iorchestra`] — so the historic
-    /// `IOrchestraPlane::new(cfg)` spelling still works.
-    pub fn new(set: impl Into<PolicySet>) -> Self {
-        let set = set.into();
+    /// Build an engine for a policy set.
+    pub fn new(set: PolicySet) -> Self {
         let collaborative = set.collaborative;
         let feeds_dirty = collaborative
             && set
@@ -1311,25 +1307,27 @@ mod tests {
         assert_eq!(PolicyEngine::new(PolicySet::sdc()).name(), "sdc");
         assert_eq!(PolicyEngine::new(PolicySet::dif()).name(), "dif");
         assert_eq!(
-            PolicyEngine::new(IOrchestraConfig::new(1)).name(),
+            PolicyEngine::new(PolicySet::iorchestra(IOrchestraConfig::new(1))).name(),
             "iorchestra"
         );
         assert!(PolicyEngine::new(PolicySet::baseline())
             .tick_period()
             .is_none());
         assert!(PolicyEngine::new(PolicySet::dif()).tick_period().is_some());
-        assert!(PolicyEngine::new(IOrchestraConfig::new(1))
-            .tick_period()
-            .is_some());
+        assert!(
+            PolicyEngine::new(PolicySet::iorchestra(IOrchestraConfig::new(1)))
+                .tick_period()
+                .is_some()
+        );
     }
 
     #[test]
     fn derived_flags_follow_the_staged_rules() {
-        let full = PolicyEngine::new(IOrchestraConfig::new(1));
+        let full = PolicyEngine::new(PolicySet::iorchestra(IOrchestraConfig::new(1)));
         assert!(full.collaborative && full.feeds_dirty && full.adjudicates);
-        let flush_only = PolicyEngine::new(
+        let flush_only = PolicyEngine::new(PolicySet::iorchestra(
             IOrchestraConfig::new(1).with_functions(crate::planes::FunctionSet::flush_only()),
-        );
+        ));
         assert!(flush_only.feeds_dirty && !flush_only.adjudicates);
         let dif = PolicyEngine::new(PolicySet::dif());
         assert!(!dif.collaborative && !dif.feeds_dirty && !dif.adjudicates);
@@ -1349,7 +1347,7 @@ mod tests {
         let idx = cl.add_machine(MachineConfig::paper_testbed(1, IoPathMode::Paravirt));
         let mut cfg = IOrchestraConfig::new(1);
         cfg.flush_max_retries = u32::MAX; // keep the quarantine path out of the way
-        let mut plane = PolicyEngine::new(cfg);
+        let mut plane = PolicyEngine::new(PolicySet::iorchestra(cfg));
         let dom = cl.create_domain(s, idx, VmSpec::new(1, 1).with_disk_gb(4), |_| {});
         let now = SimTime::from_secs(100);
         for &streak in &[6u32, 31, 63, 64, 200, u32::MAX - 2] {
@@ -1393,7 +1391,7 @@ mod tests {
             let idx = cl.add_machine(MachineConfig::paper_testbed(seed, IoPathMode::Paravirt));
             let mut cfg = IOrchestraConfig::new(seed);
             cfg.wake_interleave_max_ms = 0;
-            let mut plane = PolicyEngine::new(cfg);
+            let mut plane = PolicyEngine::new(PolicySet::iorchestra(cfg));
             let mut ids = Vec::new();
             for _ in 0..doms {
                 ids.push(cl.create_domain(s, idx, VmSpec::new(1, 1).with_disk_gb(4), |_| {}));
@@ -1442,7 +1440,7 @@ mod tests {
         let mut sim = Simulation::new(Cluster::new());
         let (cl, s) = sim.parts_mut();
         let idx = cl.add_machine(MachineConfig::paper_testbed(7, IoPathMode::Paravirt));
-        let mut plane = PolicyEngine::new(IOrchestraConfig::new(7));
+        let mut plane = PolicyEngine::new(PolicySet::iorchestra(IOrchestraConfig::new(7)));
         let spec = || VmSpec::new(1, 1).with_disk_gb(4);
 
         // A long-lived neighbour pins slot 0.
@@ -1569,7 +1567,7 @@ mod tests {
             .world_mut()
             .add_machine(MachineConfig::paper_testbed(seed, IoPathMode::Paravirt));
         let engine = Rc::new(std::cell::RefCell::new(PolicyEngine::new(
-            IOrchestraConfig::new(seed),
+            PolicySet::iorchestra(IOrchestraConfig::new(seed)),
         )));
         let mut installed = false;
         let mut live: Vec<DomainId> = Vec::new();

@@ -26,7 +26,7 @@
 //! # Determinism contract
 //!
 //! The pipeline-expressed built-in sets reproduce the pre-redesign
-//! planes' traces **byte-identically** (see `crates/core/src/legacy.rs`
+//! planes' traces **byte-identically** (see `iorch_bench::oracle::planes`
 //! and the `policy_equivalence` suite): same store write order, same
 //! trace event order, same RNG draw order. Two design rules make this
 //! hold, and custom policy sets inherit them:

@@ -4,9 +4,7 @@
 use iorch_guestos::FileOp;
 use iorch_hypervisor::{Cluster, IoPathMode, MachineConfig, VmSpec, DOM0};
 use iorch_simcore::{SimDuration, SimTime, Simulation};
-use iorchestra::{
-    keys, FunctionSet, IOrchestraConfig, IOrchestraPlane, PolicyEngine, PolicySet, SystemKind,
-};
+use iorchestra::{keys, FunctionSet, IOrchestraConfig, PolicyEngine, PolicySet, SystemKind};
 
 #[test]
 fn store_keys_are_registered_on_domain_creation() {
@@ -78,8 +76,9 @@ fn plane_stats_count_activations() {
     let mut sim = Simulation::new(Cluster::new());
     let (cl, s) = sim.parts_mut();
     let idx = cl.add_machine(MachineConfig::paper_testbed(3, IoPathMode::Paravirt));
-    let plane =
-        IOrchestraPlane::new(IOrchestraConfig::new(3).with_functions(FunctionSet::flush_only()));
+    let plane = PolicyEngine::new(PolicySet::iorchestra(
+        IOrchestraConfig::new(3).with_functions(FunctionSet::flush_only()),
+    ));
     cl.install_control(s, idx, Box::new(plane));
     let dom = cl.create_domain(s, idx, VmSpec::new(2, 4).with_disk_gb(10), |g| {
         g.wb.periodic_interval = SimDuration::from_secs(60);

@@ -25,7 +25,6 @@ mod machine;
 mod numa;
 mod ring;
 mod xenstore;
-pub mod xenstore_legacy;
 
 pub use cpu::CpuAccounting;
 pub use domain::{DomainId, VmSpec};

@@ -749,8 +749,6 @@ impl Machine {
     }
 
     /// Iterate live domain ids in ascending order, without allocating.
-    /// Prefer this over [`Machine::domain_ids`] everywhere a borrow of
-    /// the machine can be held across the loop.
     pub fn domains(&self) -> impl Iterator<Item = DomainId> + '_ {
         self.domains.keys().copied()
     }
@@ -758,13 +756,6 @@ impl Machine {
     /// Number of live domains.
     pub fn domain_count(&self) -> usize {
         self.domains.len()
-    }
-
-    /// Collect live domain ids into a fresh `Vec` (ascending). Kept for
-    /// call sites that must release the machine borrow (e.g. the frozen
-    /// legacy planes); new code should use [`Machine::domains`].
-    pub fn domain_ids(&self) -> Vec<DomainId> {
-        self.domains.keys().copied().collect()
     }
 
     /// Dense slot index of a live domain. Slots are assigned at creation

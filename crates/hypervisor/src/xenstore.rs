@@ -31,8 +31,8 @@
 //!   cloned the whole store per commit.
 //!
 //! The seed implementation is preserved verbatim in
-//! [`crate::xenstore_legacy`] as a differential-test oracle and benchmark
-//! baseline.
+//! `iorch_bench::oracle::store` as a differential-test oracle and
+//! benchmark baseline.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;

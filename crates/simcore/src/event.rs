@@ -20,9 +20,9 @@
 //! at a slot's tail, cascades re-file in list order, and a level-0 slot
 //! holds exactly one timestamp, so the stable (time, sequence) tie-break
 //! of the original binary-heap engine is kept bit-for-bit. That heap
-//! engine is frozen as [`crate::event_legacy`] and a randomized
-//! differential oracle (`tests/scheduler_differential.rs`) pins the
-//! firing order of the two implementations to each other.
+//! engine is frozen as `iorch_bench::oracle::scheduler` and a randomized
+//! differential oracle (`crates/bench/tests/scheduler_differential.rs`)
+//! pins the firing order of the two implementations to each other.
 //!
 //! Periodic events are built on top with a shared cancellation flag; a
 //! cancelled periodic's already-queued tick is dropped without firing,

@@ -23,7 +23,6 @@
 #![warn(missing_docs)]
 
 mod event;
-pub mod event_legacy;
 pub mod faults;
 pub mod gen;
 mod rng;

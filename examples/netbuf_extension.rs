@@ -141,16 +141,6 @@ fn run(collaborative: bool, initial_buf: u64) -> (f64, f64, u64) {
                 };
                 w.rejected_before[i] = rejected_now;
                 let d = pol.borrow_mut().decide(&params, obs, util);
-                if std::env::var("IORCH_TRACE").is_ok() && i == 0 && s.now() < SimTime::from_secs(2)
-                {
-                    eprintln!(
-                        "    t={} util={util:.2} cap={} delta={} delay={} -> {d:?}",
-                        s.now(),
-                        obs.capacity,
-                        obs.rejected_delta,
-                        obs.avg_delay
-                    );
-                }
                 if let TxDecision::Resize(new) = d {
                     w.queues[i].set_capacity(new);
                 }
@@ -160,13 +150,6 @@ fn run(collaborative: bool, initial_buf: u64) -> (f64, f64, u64) {
     }
     sim.run_until(SimTime::from_secs(10));
     let w = sim.world();
-    if std::env::var("IORCH_PROBE").is_ok() {
-        eprintln!(
-            "  caps: {:?} rejected: {:?}",
-            w.queues.iter().map(|q| q.capacity()).collect::<Vec<_>>(),
-            w.queues.iter().map(|q| q.rejected()).collect::<Vec<_>>()
-        );
-    }
     let goodput = w.sent_pkts as f64 * PKT as f64 / 10.0 / 1e6;
     let avg_delay_ms = if w.delays_n == 0 {
         0.0

@@ -12,6 +12,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 cargo test -q --offline
 cargo test -q --offline --workspace
 
+# The benchmark harness builds the workspace crates from source by path,
+# so a public-API change that breaks it fails here, not at benchmark time.
+cargo test -q --offline --locked --manifest-path iobench/Cargo.toml
+
 # The convergence oracle (crash the control plane at every tick boundary
 # of every fault scenario) is too heavy for the debug suite; its tests
 # are #[ignore]d there and run here in release.
@@ -31,13 +35,12 @@ cargo test -q --offline -p iorch-bench --release --test policy_equivalence -- --
 # Named-policy-set ablation sweep: all seven sets must provision and
 # complete the bursty run on one engine (IORCH_ABLATION=named keeps the
 # parameter ablations out of the gate).
-cargo build --release --offline -p iorch-bench --benches
-IORCH_ABLATION=named cargo bench --offline -p iorch-bench --bench exp_ablation
+cargo build --release --offline -p iorch-bench --bin experiments
+IORCH_ABLATION=named target/release/experiments run ablation --profile full --seed 42 --out target/exp-ablation --quiet
 
 # Declarative-runner smoke sweep: every named experiment runs at the
 # smoke profile and every emitted JSON artifact must pass schema
 # validation (required keys, finite numbers, nonzero sample counts).
-cargo build --release --offline -p iorch-bench --bin experiments
 rm -rf target/exp-smoke
 target/release/experiments run all --profile smoke --seed 42 --out target/exp-smoke --quiet
 target/release/experiments validate target/exp-smoke
@@ -66,7 +69,7 @@ cargo test -q --offline -p iorch-bench --release --test experiment_determinism -
 # Timer-wheel differential oracle: the wheel scheduler must fire the
 # exact same events in the exact same order as the frozen binary-heap
 # engine, across randomized op scripts (run in release for seed volume).
-cargo test -q --offline -p iorch-simcore --release --test scheduler_differential
+cargo test -q --offline -p iorch-bench --release --test scheduler_differential
 
 # Hot-path perf gate: regenerates BENCH_hotpath.json at full measure and
 # fails if any gated row (store write/read, watch fan-out, batched
