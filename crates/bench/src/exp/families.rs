@@ -1166,7 +1166,8 @@ pub static REGISTRY: &[Spec] = &[
         notes: "axis = live domains, axis2 = [warmup, steady, churn] tick counts; \
                 measures wall-clock ns/tick (steady state and 1% tenant churn) and ns \
                 per churned domain (destroy + create + tick), and emits \
-                BENCH_scale.json with the 4x steady-state scaling gate. \
+                BENCH_scale.json with the 4x steady-state and 1.75x churn-per-domain \
+                scaling gates. \
                 Wall-clock: excluded from `run all` and the golden sweeps.",
         run: crate::exp::scale::run_scale,
     },

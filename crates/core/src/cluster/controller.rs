@@ -27,7 +27,7 @@ use iorch_simcore::trace::{Decision, TraceEventKind};
 use iorch_simcore::{trace_event, SimTime};
 
 use super::msg::{Msg, NodeCaps};
-use super::placement::{NodeView, PlacementPipeline};
+use super::placement::{self, NodeView};
 use super::ClusterConfig;
 
 /// A node as the controller currently believes it to be.
@@ -164,8 +164,8 @@ impl Controller {
     }
 
     /// Desired placement: a pure function of the alive membership and the
-    /// catalog. Greedy in ascending `ldom` order over the standard
-    /// placement pipeline; domains that fit nowhere are omitted.
+    /// catalog. Greedy in ascending `ldom` order over
+    /// [`placement::place`]; domains that fit nowhere are omitted.
     pub fn desired(&self) -> BTreeMap<u32, u32> {
         let mut views: Vec<NodeView> = self
             .members
@@ -180,10 +180,9 @@ impl Controller {
                 )
             })
             .collect();
-        let pipeline = PlacementPipeline::standard();
         let mut out = BTreeMap::new();
         for (&ldom, spec) in &self.catalog {
-            if let Some(node) = pipeline.place(spec, &mut views) {
+            if let Some(node) = placement::place(spec, &mut views) {
                 out.insert(ldom, node);
             }
         }

@@ -15,8 +15,8 @@
 //!   set. An expired lease marks the node dead and orphans its domains.
 //! * **Placement**: the desired placement is recomputed every controller
 //!   tick as a *pure function* of the alive membership and the durable
-//!   domain catalog (greedy over the [`placement`] rule pipeline), so any
-//!   two controllers with the same view agree byte-for-byte.
+//!   domain catalog (greedy over [`placement::place`]), so any two
+//!   controllers with the same view agree byte-for-byte.
 //! * **Reconciliation**: the controller diffs desired against reported
 //!   ownership and issues idempotent, epoch-stamped `Start`/`Stop`
 //!   commands with timeout + exponential-backoff retry. Superseded
@@ -50,7 +50,7 @@ use iorch_simcore::{SimDuration, SimTime};
 pub use agent::NodeAgent;
 pub use controller::{Controller, ControllerStats, Member};
 pub use msg::{Msg, NodeCaps};
-pub use placement::{NodeView, PlacementPipeline, PlacementRule};
+pub use placement::{place, NodeView};
 
 /// Timing and quota knobs of the cluster control tier.
 #[derive(Clone, Copy, Debug)]

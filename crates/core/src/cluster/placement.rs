@@ -1,5 +1,4 @@
-//! Quota/NUMA-aware placement scoring — the cluster-level sibling of the
-//! per-machine policy pipeline.
+//! Quota/NUMA-aware placement scoring for the cluster controller.
 //!
 //! The controller recomputes the *desired* placement on every tick as a
 //! pure function of the alive membership and the sorted domain catalog,
@@ -8,10 +7,10 @@
 //! state, so a recovered (or partitioned-and-healed) cluster always
 //! settles on the no-fault placement.
 //!
-//! Like the machine-level [`policy`](crate::policy) pipeline, the scoring
-//! logic is policies-as-data: each [`PlacementRule`] scores a candidate
-//! node (or vetoes it), the [`PlacementPipeline`] sums the scores, and the
-//! highest total wins with the lowest node index as tie-break.
+//! The score is fixed: a node past its VCPU or memory quota is vetoed,
+//! every other node scores `free·100 + numa_fit·50 − domains`, and the
+//! highest score wins with the lowest node index as tie-break (see
+//! [`place`]).
 
 use iorch_hypervisor::VmSpec;
 
@@ -52,131 +51,40 @@ impl NodeView {
     }
 }
 
-/// One placement policy: scores a `(spec, node)` pair, or vetoes the node
-/// by returning `None`. Scores are summed across the pipeline.
-pub trait PlacementRule {
-    /// Rule name (for reports and debugging).
-    fn name(&self) -> &'static str;
-    /// Score `spec` on `view`; `None` removes the node from consideration.
-    fn score(&self, spec: &VmSpec, view: &NodeView) -> Option<i64>;
-}
-
-/// Hard quota: a node past its VCPU or memory quota is vetoed.
-pub struct QuotaRule;
-
-impl PlacementRule for QuotaRule {
-    fn name(&self) -> &'static str {
-        "quota"
-    }
-    fn score(&self, spec: &VmSpec, view: &NodeView) -> Option<i64> {
-        let vcpu_ok = view.used_vcpus + spec.vcpus <= view.total_vcpus;
-        let mem_ok = view.used_mem + spec.mem_bytes <= view.mem_quota;
-        (vcpu_ok && mem_ok).then_some(0)
-    }
-}
-
-/// Prefer the node with the most free VCPUs after this placement.
-pub struct LeastLoadedRule;
-
-impl PlacementRule for LeastLoadedRule {
-    fn name(&self) -> &'static str {
-        "least_loaded"
-    }
-    fn score(&self, spec: &VmSpec, view: &NodeView) -> Option<i64> {
-        let free = view
-            .total_vcpus
-            .saturating_sub(view.used_vcpus + spec.vcpus);
-        Some(free as i64 * 100)
-    }
-}
-
-/// Bonus when the VM fits on one socket of the node (the §3.3 NUMA
-/// concern lifted to cluster scope: a VM that spans sockets pays
-/// cross-socket I/O routing costs).
-pub struct NumaFitRule;
-
-impl PlacementRule for NumaFitRule {
-    fn name(&self) -> &'static str {
-        "numa_fit"
-    }
-    fn score(&self, spec: &VmSpec, view: &NodeView) -> Option<i64> {
-        Some(if spec.vcpus <= view.numa_max_vcpus {
-            50
-        } else {
-            0
-        })
-    }
-}
-
-/// Mild pressure to spread domain *count* (not just VCPUs) so small VMs
-/// don't all pile onto one node.
-pub struct SpreadDomainsRule;
-
-impl PlacementRule for SpreadDomainsRule {
-    fn name(&self) -> &'static str {
-        "spread_domains"
-    }
-    fn score(&self, _spec: &VmSpec, view: &NodeView) -> Option<i64> {
-        Some(-(view.domains as i64))
-    }
-}
-
-/// An ordered set of placement rules; scores sum, any veto excludes the
-/// node, ties break to the lowest node index.
-pub struct PlacementPipeline {
-    rules: Vec<Box<dyn PlacementRule>>,
-}
-
-impl PlacementPipeline {
-    /// The standard cluster pipeline: quota veto, least-loaded, NUMA-fit
-    /// bonus, domain-count spread.
-    pub fn standard() -> Self {
-        PlacementPipeline {
-            rules: vec![
-                Box::new(QuotaRule),
-                Box::new(LeastLoadedRule),
-                Box::new(NumaFitRule),
-                Box::new(SpreadDomainsRule),
-            ],
+/// Choose a node for `spec` and commit its usage to the winning view.
+/// Returns `None` when every node is past its quota (cluster full).
+///
+/// Among the nodes with room for `spec`, each scores
+/// * `free · 100`, where `free` is the node's VCPUs left after this
+///   placement (least-loaded first);
+/// * `+ 50` when the VM fits on one socket (the §3.3 NUMA concern lifted
+///   to cluster scope: a VM that spans sockets pays cross-socket I/O
+///   routing costs);
+/// * `− domains`, mild pressure to spread domain *count* so small VMs do
+///   not all pile onto one node.
+///
+/// The highest score wins; ties break to the lowest node index.
+pub fn place(spec: &VmSpec, views: &mut [NodeView]) -> Option<u32> {
+    let mut best: Option<(i64, usize)> = None;
+    for (i, view) in views.iter().enumerate() {
+        let vcpus = view.used_vcpus + spec.vcpus;
+        if vcpus > view.total_vcpus || view.used_mem + spec.mem_bytes > view.mem_quota {
+            continue;
+        }
+        let free = (view.total_vcpus - vcpus) as i64;
+        let numa_fit = (spec.vcpus <= view.numa_max_vcpus) as i64;
+        let score = free * 100 + numa_fit * 50 - view.domains as i64;
+        // Strict `>` keeps the lowest node index on ties (views are
+        // iterated in ascending node order).
+        if best.is_none_or(|(b, _)| score > b) {
+            best = Some((score, i));
         }
     }
-
-    /// Rule names in evaluation order.
-    pub fn rule_names(&self) -> Vec<&'static str> {
-        self.rules.iter().map(|r| r.name()).collect()
-    }
-
-    /// Choose a node for `spec` and commit its usage to the winning view.
-    /// Returns `None` when every node is vetoed (cluster full).
-    pub fn place(&self, spec: &VmSpec, views: &mut [NodeView]) -> Option<u32> {
-        let mut best: Option<(i64, usize)> = None;
-        for (i, view) in views.iter().enumerate() {
-            let mut total = 0i64;
-            let mut vetoed = false;
-            for rule in &self.rules {
-                match rule.score(spec, view) {
-                    Some(sc) => total += sc,
-                    None => {
-                        vetoed = true;
-                        break;
-                    }
-                }
-            }
-            if vetoed {
-                continue;
-            }
-            // Strict `>` keeps the lowest node index on ties (views are
-            // iterated in ascending node order).
-            if best.is_none_or(|(b, _)| total > b) {
-                best = Some((total, i));
-            }
-        }
-        let (_, i) = best?;
-        views[i].used_vcpus += spec.vcpus;
-        views[i].used_mem += spec.mem_bytes;
-        views[i].domains += 1;
-        Some(views[i].node)
-    }
+    let (_, i) = best?;
+    views[i].used_vcpus += spec.vcpus;
+    views[i].used_mem += spec.mem_bytes;
+    views[i].domains += 1;
+    Some(views[i].node)
 }
 
 #[cfg(test)]
@@ -189,37 +97,33 @@ mod tests {
 
     #[test]
     fn ties_break_to_lowest_node() {
-        let p = PlacementPipeline::standard();
         let mut v = views(3);
-        assert_eq!(p.place(&VmSpec::new(2, 4), &mut v), Some(0));
+        assert_eq!(place(&VmSpec::new(2, 4), &mut v), Some(0));
         // Node 0 is now more loaded; next placement prefers node 1.
-        assert_eq!(p.place(&VmSpec::new(2, 4), &mut v), Some(1));
-        assert_eq!(p.place(&VmSpec::new(2, 4), &mut v), Some(2));
+        assert_eq!(place(&VmSpec::new(2, 4), &mut v), Some(1));
+        assert_eq!(place(&VmSpec::new(2, 4), &mut v), Some(2));
     }
 
     #[test]
     fn quota_vetoes_full_nodes() {
-        let p = PlacementPipeline::standard();
         let mut v = views(2);
         v[0].used_vcpus = 40;
-        let got = p.place(&VmSpec::new(2, 4), &mut v).unwrap();
+        let got = place(&VmSpec::new(2, 4), &mut v).unwrap();
         assert_eq!(got, 1);
         v[1].used_vcpus = 40;
-        assert_eq!(p.place(&VmSpec::new(2, 4), &mut v), None, "cluster full");
+        assert_eq!(place(&VmSpec::new(2, 4), &mut v), None, "cluster full");
     }
 
     #[test]
     fn memory_quota_is_enforced() {
-        let p = PlacementPipeline::standard();
         let mut v = views(2);
         v[0].used_mem = 63 << 30;
         v[1].used_mem = 0;
-        assert_eq!(p.place(&VmSpec::new(1, 4), &mut v), Some(1));
+        assert_eq!(place(&VmSpec::new(1, 4), &mut v), Some(1));
     }
 
     #[test]
     fn numa_fit_beats_slightly_freer_node() {
-        let p = PlacementPipeline::standard();
         // Node 0: fits NUMA-locally. Node 1: slightly freer but the VM
         // would span sockets (numa_max 2 < 4 vcpus).
         let mut v = vec![NodeView::new(0, 40, 20, 64 << 30), {
@@ -227,26 +131,17 @@ mod tests {
             n.used_vcpus = 0;
             n
         }];
-        assert_eq!(p.place(&VmSpec::new(4, 4), &mut v), Some(0));
+        assert_eq!(place(&VmSpec::new(4, 4), &mut v), Some(0));
     }
 
     #[test]
     fn deterministic_across_runs() {
         let run = || {
-            let p = PlacementPipeline::standard();
             let mut v = views(4);
             (0..32)
-                .map(|i| p.place(&VmSpec::new(1 + i % 3, 1), &mut v))
+                .map(|i| place(&VmSpec::new(1 + i % 3, 1), &mut v))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn standard_rule_order() {
-        assert_eq!(
-            PlacementPipeline::standard().rule_names(),
-            ["quota", "least_loaded", "numa_fit", "spread_domains"]
-        );
     }
 }

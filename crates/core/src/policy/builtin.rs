@@ -29,25 +29,16 @@ use super::{
 
 /// Store-write and denied-operation rate budgets ([`QueueAdmission`]).
 ///
-/// Tracks per-domain counter deltas against windowed budgets and emits
+/// Feeds the tick's drained store traffic
+/// ([`PolicyCtx::store_traffic`]) to windowed budgets and emits
 /// [`Action::Quarantine`] when a budget trips (and for any domain still
-/// flagged from an older window). Bases advance for *every* domain — so
-/// an operator clear only counts new traffic — but only unquarantined
-/// domains feed the detector.
+/// flagged from an older window). Quarantined domains' traffic is drained
+/// but not fed, so an operator clear only counts new traffic.
 ///
 /// [`QueueAdmission`]: EnforcementPoint::QueueAdmission
 pub struct AnomalyRule {
     params: AnomalyParams,
     detector: AnomalyDetector,
-    write_count_base: BTreeMap<DomainId, u64>,
-    denied_base: BTreeMap<DomainId, u64>,
-    /// Store-wide `(write_total, denied_total)` at the last per-domain
-    /// sweep. Both counters are monotonic, so an unchanged pair proves
-    /// every per-domain delta is zero and the sweep can be skipped — the
-    /// steady-state tick does no per-domain work here. Domain creation
-    /// bumps `write_total` (the boot `has_dirty_pages` write), so a new
-    /// domain's base is always seeded on the tick that first sees it.
-    last_totals: Option<(u64, u64)>,
 }
 
 impl AnomalyRule {
@@ -56,9 +47,6 @@ impl AnomalyRule {
         AnomalyRule {
             params,
             detector: AnomalyDetector::new(params),
-            write_count_base: BTreeMap::new(),
-            denied_base: BTreeMap::new(),
-            last_totals: None,
         }
     }
 }
@@ -69,33 +57,22 @@ impl Rule for AnomalyRule {
     }
 
     fn on_tick(&mut self, ctx: &PolicyCtx<'_>, out: &mut Vec<Action>) {
-        let m = ctx.machine();
         let now = ctx.now();
-        let totals = (m.store.write_total(), m.store.denied_total());
-        if self.last_totals != Some(totals) {
-            self.last_totals = Some(totals);
-            for dom in m.domains() {
-                let count = m.store.write_count(dom);
-                let base = self.write_count_base.insert(dom, count).unwrap_or(0);
-                let delta = count.saturating_sub(base);
-                let denied = m.store.denied_count(dom);
-                let denied_base = self.denied_base.insert(dom, denied).unwrap_or(0);
-                let denied_delta = denied.saturating_sub(denied_base);
-                if ctx.is_quarantined(dom) {
-                    continue;
-                }
-                if delta > 0 && self.detector.on_writes(dom, delta, now) {
-                    out.push(Action::Quarantine {
-                        dom,
-                        reason: "write-rate budget",
-                    });
-                }
-                if denied_delta > 0 && self.detector.on_denied(dom, denied_delta, now) {
-                    out.push(Action::Quarantine {
-                        dom,
-                        reason: "denied-rate budget",
-                    });
-                }
+        for &(dom, traffic) in ctx.store_traffic() {
+            if ctx.is_quarantined(dom) {
+                continue;
+            }
+            if traffic.writes > 0 && self.detector.on_writes(dom, traffic.writes, now) {
+                out.push(Action::Quarantine {
+                    dom,
+                    reason: "write-rate budget",
+                });
+            }
+            if traffic.denied > 0 && self.detector.on_denied(dom, traffic.denied, now) {
+                out.push(Action::Quarantine {
+                    dom,
+                    reason: "denied-rate budget",
+                });
             }
         }
         // Domains still flagged from older windows. Usually duplicates of
@@ -114,27 +91,11 @@ impl Rule for AnomalyRule {
     }
 
     fn on_domain_destroyed(&mut self, dom: DomainId) {
-        self.write_count_base.remove(&dom);
-        self.denied_base.remove(&dom);
         self.detector.remove(dom);
     }
 
     fn on_crash(&mut self) {
         self.detector = AnomalyDetector::new(self.params);
-        self.write_count_base.clear();
-        self.denied_base.clear();
-        self.last_totals = None;
-    }
-
-    fn on_recover(&mut self, ctx: &PolicyCtx<'_>) {
-        // Bases seed at the *current* counters: traffic that happened
-        // while dom0 was down is not a post-recovery burst.
-        let m = ctx.machine();
-        for dom in m.domains() {
-            self.write_count_base.insert(dom, m.store.write_count(dom));
-            self.denied_base.insert(dom, m.store.denied_count(dom));
-        }
-        self.last_totals = Some((m.store.write_total(), m.store.denied_total()));
     }
 }
 

@@ -25,18 +25,21 @@
 //! Per-domain state lives in a slot-indexed [`PlaneSlab`] (DESIGN.md
 //! §13), and every recurring sweep is driven by a dirty set: the
 //! reconciliation, flush-deadline, dirty-page-republish and health
-//! sweeps visit only domains marked by store watches, kernel signals or
-//! fault paths since the previous tick. A quiescent domain costs a
-//! control tick nothing, so steady-state tick cost is O(changed) rather
-//! than O(live) — the `scale` experiment gates this at 1024 domains.
-//! Recovery and the denied-counter health path are the two sweeps
-//! allowed to request an explicit full scan.
+//! sweeps visit only domains marked by store watches, kernel signals,
+//! store traffic or fault paths since the previous tick. Store traffic
+//! arrives pushed: the store records per-domain writes and denials as
+//! they happen, and the engine drains that record once at the top of
+//! each tick. A quiescent domain costs a control tick nothing, so tick
+//! cost is O(changed) rather than O(live) — the `scale` experiment gates
+//! this at 1024 domains, for steady state and for churn. Crash recovery
+//! is the only full scan.
 
 use std::rc::Rc;
 
 use iorch_guestos::KernelSignal;
 use iorch_hypervisor::{
-    AsStorePath, Cluster, ControlPlane, DomainId, Machine, Sched, StorePath, WatchEvent, DOM0,
+    AsStorePath, Cluster, ControlPlane, DomainId, Machine, Sched, StorePath, StoreTraffic,
+    WatchEvent, DOM0,
 };
 use iorch_simcore::trace::{Decision, TraceEventKind};
 use iorch_simcore::{trace_event, SimDuration, SimRng, SimTime};
@@ -71,10 +74,10 @@ pub struct PolicyEngine {
     /// is FIFO; membership tests go through the slot's `in_fifo` bit.
     congested_fifo: Vec<DomainId>,
     manager_watch_registered: bool,
-    /// Store-wide denied total at the last health publication. While it
-    /// holds still, no domain's denied counter moved and the health sweep
-    /// can stay on the dirty set; when it moves, a full scan is legal.
-    denied_total_seen: u64,
+    /// This tick's drain of the store's per-domain traffic, live domains
+    /// only, ascending (rules read it through
+    /// [`PolicyCtx::store_traffic`]).
+    traffic: Vec<(DomainId, StoreTraffic)>,
     /// Command generation, persisted under [`keys::STATE_EPOCH`]. Every
     /// `flush_now`/`release_request` command carries a fresh epoch; a
     /// restarted plane resumes at `persisted + 1`, so guest drivers can
@@ -107,7 +110,7 @@ impl PolicyEngine {
             slab: PlaneSlab::default(),
             congested_fifo: Vec::new(),
             manager_watch_registered: false,
-            denied_total_seen: 0,
+            traffic: Vec::new(),
             epoch: 0,
             stats: PlaneStats::default(),
             set,
@@ -290,6 +293,7 @@ impl PolicyEngine {
                 set,
                 slab,
                 congested_fifo,
+                traffic,
                 stats,
                 ..
             } = self;
@@ -298,6 +302,7 @@ impl PolicyEngine {
                 now,
                 report,
                 machine: &*m,
+                traffic: &traffic[..],
                 cfg: &*cfg,
                 slab: &*slab,
                 congested_fifo: &congested_fifo[..],
@@ -486,6 +491,7 @@ impl PolicyEngine {
             now,
             report: None,
             machine: m,
+            traffic: &[],
             cfg: &*cfg,
             slab: &*slab,
             congested_fifo: &congested_fifo[..],
@@ -597,25 +603,17 @@ impl PolicyEngine {
     }
 
     /// Publish per-domain health counters under `/iorchestra/health/<id>`.
-    /// Dirty-set driven: only domains whose timeout/quarantine state moved
-    /// are visited — unless the store's global denied total moved, in
-    /// which case any domain's denied counter may have changed and a full
-    /// scan is the explicit, legal fallback (denials are rare and already
-    /// a misbehaviour signal). A steady-state tick performs zero store
-    /// operations either way.
+    /// Dirty-set driven: only domains whose timeout, quarantine or denied
+    /// state moved are visited. The tick's traffic drain marked the
+    /// denials recorded before it; denials the tick itself caused (a
+    /// guest-credential republish refused mid-tick) are still pending in
+    /// the store and are marked here. A steady-state tick performs zero
+    /// store operations.
     fn publish_health(&mut self, m: &mut Machine) {
-        let denied_total = m.store.denied_total();
-        if denied_total != self.denied_total_seen {
-            self.denied_total_seen = denied_total;
-            let mut scratch = self.slab.take_scratch();
-            scratch.extend(m.domains());
-            for &dom in &scratch {
-                self.publish_health_one(m, dom);
+        for (dom, traffic) in m.store.pending_traffic() {
+            if traffic.denied > 0 {
+                self.slab.mark_health(m, dom);
             }
-            self.slab.restore_scratch(scratch);
-            // The full scan supersedes every pending dirty entry.
-            self.slab.clear_health_dirty();
-            return;
         }
         let dirty = self.slab.take_health_dirty();
         for &dom in &dirty {
@@ -1075,6 +1073,19 @@ impl ControlPlane for PolicyEngine {
 
     fn on_tick(&mut self, m: &mut Machine, s: &mut Sched) {
         let now = s.now();
+        // The one read of the store's traffic per tick. Destroyed domains'
+        // traffic is dropped (`DomainId`s are never reused), and a moved
+        // denied count is a health change.
+        self.traffic.clear();
+        self.traffic.extend(m.store.drain_traffic());
+        self.traffic.retain(|&(dom, _)| m.slot_of(dom).is_some());
+        if self.collaborative {
+            for &(dom, traffic) in &self.traffic {
+                if traffic.denied > 0 {
+                    self.slab.mark_health(m, dom);
+                }
+            }
+        }
         let report = self.monitor.sample(m, now);
         // Admission stages (anomaly budgets → quarantine).
         self.eval_point(m, s, now, Some(&report), EnforcementPoint::QueueAdmission);
@@ -1144,7 +1155,7 @@ impl ControlPlane for PolicyEngine {
         self.slab.clear();
         self.congested_fifo.clear();
         self.manager_watch_registered = false;
-        self.denied_total_seen = 0;
+        self.traffic.clear();
         self.epoch = 0;
         self.stats = PlaneStats::default();
         Self::each_rule(&mut self.set, |r| r.on_crash());
@@ -1165,41 +1176,16 @@ impl ControlPlane for PolicyEngine {
         m.store.watch(DOM0, "/local");
         m.store.watch(DOM0, keys::CONTROL_ROOT);
         self.manager_watch_registered = true;
-        // Rules re-seed their decision state from current observables
-        // (e.g. anomaly bases at the current counters, so traffic that
-        // happened while dom0 was down is not a post-recovery burst).
-        {
-            let PolicyEngine {
-                set,
-                slab,
-                congested_fifo,
-                stats,
-                ..
-            } = self;
-            let PolicySet { cfg, stages, .. } = set;
-            let ctx = PolicyCtx {
-                now,
-                report: None,
-                machine: &*m,
-                cfg: &*cfg,
-                slab: &*slab,
-                congested_fifo: &congested_fifo[..],
-                stats: &*stats,
-            };
-            for st in stages.iter_mut() {
-                for r in st.rules.iter_mut() {
-                    r.on_recover(&ctx);
-                }
-            }
-        }
-        // Recovery is one of the two explicit full scans the dirty-set
-        // contract allows (DESIGN.md §13): the dead incarnation's marks
-        // died with it, so every live domain is re-examined. Fresh slots
-        // come out health-dirty, and the mirrors (kernel/store dirty
-        // pages) are re-read from ground truth by `ensure`.
-        let mut scratch = self.slab.take_scratch();
-        scratch.extend(m.domains());
-        for &dom in &scratch {
+        // Traffic recorded while dom0 was down is not a post-recovery
+        // burst: the next tick's drain starts from here.
+        let _ = m.store.drain_traffic();
+        // Recovery is the only full scan the dirty-set contract allows
+        // (DESIGN.md §13): the dead incarnation's marks died with it, so
+        // every live domain is re-examined. Fresh slots come out
+        // health-dirty, and the mirrors (kernel/store dirty pages) are
+        // re-read from ground truth by `ensure`.
+        let doms: Vec<DomainId> = m.domains().collect();
+        for &dom in &doms {
             self.slab.ensure(m, dom);
             let Some(k) = self
                 .slab
@@ -1276,9 +1262,6 @@ impl ControlPlane for PolicyEngine {
                 }
             }
         }
-        let domain_count = scratch.len();
-        self.slab.restore_scratch(scratch);
-        self.denied_total_seen = m.store.denied_total();
         // Retries and protocol turnarounds the guests burned against the
         // dead incarnation must not carry over as empty token buckets — a
         // denial storm the moment service resumes would quarantine the
@@ -1289,7 +1272,7 @@ impl ControlPlane for PolicyEngine {
             now,
             TraceEventKind::Decision(Decision::PlaneRecover {
                 epoch: self.epoch,
-                domains: domain_count as u32,
+                domains: doms.len() as u32,
                 quarantined: self.slab.quarantined_count() as u32,
             })
         );
@@ -1498,6 +1481,80 @@ mod tests {
         plane.on_domain_created(cl.machine_mut(idx), s, probe);
         assert_eq!(plane.slab.len(), 2);
         assert!(plane.quarantined_domains().is_empty());
+    }
+
+    /// A denial the tick itself causes reaches the health subtree in that
+    /// same tick. The guest's dirty-page count moved since the last
+    /// publish and its quota bucket is empty, so the tick's `nr_dirty`
+    /// republish is refused after the tick drained the store's traffic:
+    /// only the pending-traffic check in `publish_health` marks it.
+    #[test]
+    fn denial_caused_mid_tick_is_published_the_same_tick() {
+        use iorch_guestos::FileOp;
+        use iorch_hypervisor::{IoPathMode, MachineConfig, VmSpec};
+        use iorch_simcore::Simulation;
+
+        let mut sim = Simulation::new(Cluster::new());
+        let idx = sim
+            .world_mut()
+            .add_machine(MachineConfig::paper_testbed(3, IoPathMode::Paravirt));
+        // The dirty-page feed alone: no anomaly budget to quarantine the
+        // guest and no flush rule to clean it.
+        let set = PolicySet::custom("feed", IOrchestraConfig::new(3))
+            .collaborative(true)
+            .stage(
+                crate::policy::Stage::new("feed", EnforcementPoint::CommandIssue)
+                    .feed(Feed::DirtyPages),
+            );
+        let mut plane = PolicyEngine::new(set);
+        let (cl, s) = sim.parts_mut();
+        let dom = cl.create_domain(s, idx, VmSpec::new(1, 1).with_disk_gb(4), |g| {
+            g.wb.periodic_interval = SimDuration::from_secs(60);
+            g.wb.dirty_expire = SimDuration::from_secs(120);
+        });
+        plane.on_domain_created(cl.machine_mut(idx), s, dom);
+        let file = cl
+            .machine_mut(idx)
+            .kernel_mut(dom)
+            .and_then(|k| k.create_file(16 << 20).ok())
+            .expect("room for a file");
+        let write = |offset| FileOp::Write {
+            file,
+            offset,
+            len: 1 << 20,
+        };
+        cl.submit_op(s, idx, dom, 0, write(0), None);
+        sim.run_until(SimTime::from_millis(5));
+        let (cl, s) = sim.parts_mut();
+        let m = cl.machine_mut(idx);
+        plane.on_kernel_signal(m, s, dom, KernelSignal::DirtyStatusChanged(true));
+        plane.on_tick(m, s);
+        let health = keys::health_store_denied(dom);
+        assert_eq!(m.store.read_ref(DOM0, &health), Ok("0"));
+
+        // More dirty pages, then drain the guest's bucket exactly, with no
+        // denial yet.
+        cl.submit_op(s, idx, dom, 0, write(4 << 20), None);
+        sim.run_until(SimTime::from_millis(10));
+        let (cl, s) = sim.parts_mut();
+        let m = cl.machine_mut(idx);
+        m.store.quota_refill_all();
+        let burst = m
+            .store
+            .quota()
+            .expect("machine store has a quota")
+            .write_burst;
+        let scratch = format!("/local/domain/{}/scratch", dom.0);
+        for i in 0..burst {
+            m.store
+                .write(dom, &*scratch, val::uint(i))
+                .expect("token left");
+        }
+        assert_eq!(m.store.denied_count(dom), 0);
+
+        plane.on_tick(m, s);
+        assert_eq!(m.store.denied_count(dom), 1, "the republish was refused");
+        assert_eq!(m.store.read_ref(DOM0, &health), Ok("1"));
     }
 
     /// Shares one engine between the machine (installed as its plane) and

@@ -14,8 +14,9 @@
 //!
 //! * **Rules decide.** A [`Rule`] reads monitor and trace signals through
 //!   a read-only [`PolicyCtx`] and emits [`Action`]s. Rules own their own
-//!   decision state (rate baselines, last pushed weights, …) and are
-//!   notified of lifecycle events (crash, recovery, domain destruction).
+//!   decision state (rate windows, last pushed weights, …) and are
+//!   notified of lifecycle events (crash, domain destruction, quarantine
+//!   clears).
 //! * **The engine enforces.** The [`PolicyEngine`] owns every mechanism
 //!   the PR 5 robustness work introduced — epoch-stamped command issue,
 //!   persisted recovery state, quarantine bookkeeping, ack deadlines,
@@ -68,7 +69,7 @@ pub use builtin::{
 };
 pub use engine::PolicyEngine;
 
-use iorch_hypervisor::{DomainId, Machine, StoreQuota};
+use iorch_hypervisor::{DomainId, Machine, StoreQuota, StoreTraffic};
 use iorch_simcore::{SimDuration, SimTime};
 
 use crate::keys::DomainKeys;
@@ -250,6 +251,7 @@ pub struct PolicyCtx<'a> {
     pub(crate) now: SimTime,
     pub(crate) report: Option<&'a MonitorReport>,
     pub(crate) machine: &'a Machine,
+    pub(crate) traffic: &'a [(DomainId, StoreTraffic)],
     pub(crate) cfg: &'a IOrchestraConfig,
     pub(crate) slab: &'a slab::PlaneSlab,
     pub(crate) congested_fifo: &'a [DomainId],
@@ -272,6 +274,13 @@ impl<'a> PolicyCtx<'a> {
     /// storage subsystem, domains, topology.
     pub fn machine(&self) -> &'a Machine {
         self.machine
+    }
+
+    /// Store traffic per live domain since the previous tick, ascending
+    /// by id: the writes and denials the store recorded, drained once at
+    /// the top of each tick. Empty outside tick evaluation.
+    pub fn store_traffic(&self) -> &'a [(DomainId, StoreTraffic)] {
+        self.traffic
     }
 
     /// The engine's tunables.
@@ -373,12 +382,6 @@ pub trait Rule: 'static {
 
     /// The control plane crashed: reset decision state to boot values.
     fn on_crash(&mut self) {}
-
-    /// The control plane recovered: re-seed decision state from current
-    /// machine/store observables (never from event history).
-    fn on_recover(&mut self, ctx: &PolicyCtx<'_>) {
-        let _ = ctx;
-    }
 }
 
 // --------------------------------------------------------------------

@@ -15,8 +15,8 @@
 //! * `congestion_attention` — domains whose congestion protocol may need
 //!   repair (`reconcile_congestion` visits only these).
 //! * `health_dirty` — domains whose health tuple may have moved
-//!   (`publish_health` visits only these, unless the store's global
-//!   denied total moved — then a full scan is legal and explicit).
+//!   (`publish_health` visits only these; a moved denied count is marked
+//!   from the store's drained and pending traffic).
 //! * `flush_active` — domains with a `flush_now` command in flight
 //!   (`expire_flush_deadlines` visits only these).
 //! * `kernel_dirty` — domains whose guest kernel holds dirty pages
@@ -28,9 +28,9 @@
 //! The contract (DESIGN.md §13): marking may over-approximate — visiting
 //! a quiescent domain is a no-op because every visit re-checks ground
 //! truth (store values, slot state) before acting — but must never
-//! under-approximate, so every marking site is an *engine-internal* write
-//! or a reliably-delivered kernel signal, never a lossy XenBus watch
-//! event alone. Sweeps sort their list before visiting, preserving the
+//! under-approximate, so every marking site is an *engine-internal* write,
+//! the store's own traffic record or a reliably-delivered kernel signal,
+//! never a lossy XenBus watch event alone. Sweeps sort their list before visiting, preserving the
 //! DomainId-ascending action order the full scans had, which is what
 //! keeps the refactor byte-identical.
 //!
@@ -104,8 +104,6 @@ pub(crate) struct PlaneSlab {
     /// (sorted, live, no stale entries) because rules iterate it every
     /// tick through `PolicyCtx::dirty_domains`.
     store_dirty: Vec<DomainId>,
-    /// Reusable buffer for explicit full scans (recovery, denied sweeps).
-    scratch: Vec<DomainId>,
 }
 
 impl PlaneSlab {
@@ -276,27 +274,6 @@ impl PlaneSlab {
     /// Return the retained kernel-dirty entries.
     pub fn restore_kernel_dirty(&mut self, kept: Vec<DomainId>) {
         restore(&mut self.kernel_dirty, kept);
-    }
-
-    /// Take the scratch buffer for an explicit full scan (cleared).
-    pub fn take_scratch(&mut self) -> Vec<DomainId> {
-        let mut v = std::mem::take(&mut self.scratch);
-        v.clear();
-        v
-    }
-
-    /// Hand the scratch buffer back (capacity is kept).
-    pub fn restore_scratch(&mut self, scratch: Vec<DomainId>) {
-        self.scratch = scratch;
-    }
-
-    /// Clear the health-dirty set wholesale — legal right after a full
-    /// health scan, which supersedes every pending entry.
-    pub fn clear_health_dirty(&mut self) {
-        for s in &mut self.slots {
-            s.health_dirty = false;
-        }
-        self.health_dirty.clear();
     }
 
     /// Forget a domain: reset its slot and purge it from every list. Runs

@@ -36,6 +36,6 @@ pub use machine::{
 pub use numa::{CoreId, NumaTopology, PlacementPolicy};
 pub use ring::{Ring, RingPush};
 pub use xenstore::{
-    AsStorePath, IntoStoreValue, Perms, StoreError, StorePath, StoreQuota, TxnId, WatchEvent,
-    WatchId, XenStore, DOM0,
+    AsStorePath, IntoStoreValue, Perms, StoreError, StorePath, StoreQuota, StoreTraffic, TxnId,
+    WatchEvent, WatchId, XenStore, DOM0,
 };

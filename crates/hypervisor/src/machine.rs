@@ -832,8 +832,6 @@ impl Machine {
             .place(id, spec.vcpus, PlacementPolicy::PreferSameSocket);
         // Allocate the virtual disk as a region of the host device,
         // wrapping modulo capacity for long arrival/departure runs.
-        let cap = self.storage.device_bandwidth().max(1); // placeholder, see below
-        let _ = cap;
         let dev_capacity: u64 = 960 << 30;
         if self.vdisk_cursor + spec.vdisk_bytes > dev_capacity {
             self.vdisk_cursor = 0;

@@ -405,6 +405,19 @@ struct Watch {
     owner: DomainId,
 }
 
+/// Store traffic one domain caused since the last
+/// [`XenStore::drain_traffic`] — the anomaly detector's input. Counted at
+/// the same sites as [`XenStore::write_count`] and
+/// [`XenStore::denied_count`], so a suppressed
+/// [`XenStore::write_if_changed`] republish does not count.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+pub struct StoreTraffic {
+    /// Writes that reached the tree.
+    pub writes: u64,
+    /// Denied write-type operations (permission or quota).
+    pub denied: u64,
+}
+
 /// Identifies an open transaction.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct TxnId(pub u64);
@@ -444,16 +457,17 @@ pub struct XenStore {
     txns: BTreeMap<u64, Vec<(DomainId, StorePath, Rc<str>)>>,
     next_txn: u64,
     write_counts: BTreeMap<DomainId, u64>,
-    /// Sum of all `write_counts` values. Monotonic: an unchanged total
-    /// proves every per-domain count is unchanged, so per-tick anomaly
-    /// scans can skip the domain loop in O(1).
+    /// Sum of all `write_counts` values (reporting).
     write_total: u64,
-    /// Sum of all `denied_counts` values (same O(1) change check).
+    /// Sum of all `denied_counts` values (reporting).
     denied_total: u64,
+    /// Per-domain traffic since the last [`XenStore::drain_traffic`],
+    /// bumped beside `write_counts` and `denied_counts`. Holds only the
+    /// domains that caused traffic, so a drain costs O(writers).
+    traffic: BTreeMap<DomainId, StoreTraffic>,
     /// Per-domain count of denied write-type operations (write /
-    /// write_if_changed / remove / mkdir returning `PermissionDenied`) —
-    /// the anomaly detector's "permission violation" signal. Bumped only
-    /// on the error path, so the hot path never touches it.
+    /// write_if_changed / remove / mkdir refused by permissions or quota).
+    /// Bumped only on the error path, so the hot path never touches it.
     denied_counts: BTreeMap<DomainId, u64>,
     /// Sim-time stamp for trace events. The store itself is time-free;
     /// the machine refreshes this at each event-loop entry while a trace
@@ -504,6 +518,7 @@ impl XenStore {
             write_total: 0,
             denied_counts: BTreeMap::new(),
             denied_total: 0,
+            traffic: BTreeMap::new(),
             trace_now: SimTime::ZERO,
             quota: None,
             quota_overrides: BTreeMap::new(),
@@ -688,6 +703,7 @@ impl XenStore {
     fn note_denied(&mut self, caller: DomainId, path: &str) {
         *self.denied_counts.entry(caller).or_insert(0) += 1;
         self.denied_total += 1;
+        self.traffic.entry(caller).or_default().denied += 1;
         trace_event!(
             self.trace_now,
             TraceEventKind::StoreDenied {
@@ -817,6 +833,7 @@ impl XenStore {
         self.account_owned(created_owner, created as i64);
         *self.write_counts.entry(caller).or_insert(0) += 1;
         self.write_total += 1;
+        self.traffic.entry(caller).or_default().writes += 1;
         trace_event!(
             self.trace_now,
             TraceEventKind::StoreWrite {
@@ -1218,33 +1235,46 @@ impl XenStore {
         Ok(())
     }
 
-    /// Writes performed by a domain — input for the anomaly detector
-    /// ("IOrchestra can be configured to identify malicious VMs").
-    /// Suppressed [`XenStore::write_if_changed`] republishes do not count:
-    /// they put no traffic on the channel.
+    /// Writes performed by a domain over the store's lifetime (a
+    /// reporting counter; the anomaly detector reads
+    /// [`XenStore::drain_traffic`]). Suppressed
+    /// [`XenStore::write_if_changed`] republishes do not count: they put
+    /// no traffic on the channel.
     pub fn write_count(&self, dom: DomainId) -> u64 {
         self.write_counts.get(&dom).copied().unwrap_or(0)
     }
 
-    /// Denied write-type operations by a domain (permission violations) —
-    /// the anomaly detector's misbehaving-writer signal.
+    /// Denied write-type operations by a domain (permission or quota
+    /// violations) over the store's lifetime — the health counter the
+    /// control plane publishes.
     pub fn denied_count(&self, dom: DomainId) -> u64 {
         self.denied_counts.get(&dom).copied().unwrap_or(0)
     }
 
-    /// Writes performed by all domains together. Monotonic; equal totals
-    /// across two observations prove no per-domain [`write_count`] moved,
-    /// letting per-tick scans short-circuit without touching the map.
-    ///
-    /// [`write_count`]: XenStore::write_count
+    /// Writes performed by all domains together (a reporting counter;
+    /// the control plane reads traffic through
+    /// [`XenStore::drain_traffic`]).
     pub fn write_total(&self) -> u64 {
         self.write_total
     }
 
-    /// Denied write-type operations across all domains (monotonic; see
-    /// [`XenStore::write_total`] for the change-detection contract).
+    /// Denied write-type operations across all domains (a reporting
+    /// counter, like [`XenStore::write_total`]).
     pub fn denied_total(&self) -> u64 {
         self.denied_total
+    }
+
+    /// Take the per-domain traffic recorded since the previous drain,
+    /// ascending by domain id, and start a fresh record. Only domains
+    /// that wrote or were denied appear.
+    pub fn drain_traffic(&mut self) -> impl Iterator<Item = (DomainId, StoreTraffic)> {
+        std::mem::take(&mut self.traffic).into_iter()
+    }
+
+    /// The traffic recorded since the previous drain, ascending by domain
+    /// id, left in place.
+    pub fn pending_traffic(&self) -> impl Iterator<Item = (DomainId, StoreTraffic)> + '_ {
+        self.traffic.iter().map(|(&dom, &t)| (dom, t))
     }
 
     /// Conventional per-domain subtree root, as in Xen.
@@ -1617,6 +1647,33 @@ mod tests {
         }
         assert_eq!(s.write_count(d(1)), 5);
         assert_eq!(s.write_count(d(9)), 0);
+    }
+
+    #[test]
+    fn traffic_accumulates_per_domain_until_drained() {
+        let mut s = store_with_domain(d(1));
+        s.mkdir(DOM0, "/local/domain/2", Perms::private_to(d(2)))
+            .unwrap();
+        s.write(d(1), "/local/domain/1/x", "a").unwrap();
+        s.write(d(1), "/local/domain/1/x", "b").unwrap();
+        // A suppressed republish puts no traffic on the channel.
+        assert!(!s.write_if_changed(d(1), "/local/domain/1/x", "b").unwrap());
+        s.write(d(2), "/local/domain/2/y", "c").unwrap();
+        assert!(s.write(d(2), "/local/domain/1/x", "evil").is_err());
+        assert!(s.remove(d(2), "/local/domain/1/x").is_err());
+        let traffic = |writes, denied| StoreTraffic { writes, denied };
+        let expected = vec![(d(1), traffic(2, 0)), (d(2), traffic(1, 2))];
+        assert_eq!(s.pending_traffic().collect::<Vec<_>>(), expected);
+        assert_eq!(s.drain_traffic().collect::<Vec<_>>(), expected);
+        // The drain empties the record; the lifetime counters stay.
+        assert_eq!(s.pending_traffic().count(), 0);
+        assert_eq!(s.drain_traffic().count(), 0);
+        assert_eq!((s.write_count(d(1)), s.denied_count(d(2))), (2, 2));
+        s.write(d(1), "/local/domain/1/x", "c").unwrap();
+        assert_eq!(
+            s.drain_traffic().collect::<Vec<_>>(),
+            vec![(d(1), traffic(1, 0))]
+        );
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //!   Figs. 5–6);
 //! * [`WindowedRate`] / [`Throughput`] — bandwidth monitoring (the
 //!   blktrace stand-in that drives the flush policy) and run throughput;
-//! * [`TimeWeightedGauge`] / [`BusyTracker`] — CPU and device utilization
-//!   (paper Fig. 10c);
+//! * [`TimeWeightedGauge`] — CPU and device utilization (paper Fig. 10c);
 //! * [`LatencySummary`] / [`Table`] — the row/series formatting used by
 //!   every bench harness;
 //! * [`TelemetryHub`] / [`LiveReport`] — live fixed-cadence export of
@@ -26,7 +25,7 @@ mod summary;
 
 pub use cdf::{cdf, cdf_at_fractions, standard_grid, CdfPoint};
 pub use export::{shared_hub, LiveReport, ReportSink, SharedHub, TelemetryHub};
-pub use gauge::{BusyTracker, TimeWeightedGauge};
+pub use gauge::TimeWeightedGauge;
 pub use histogram::LatencyHistogram;
 pub use rate::{Throughput, WindowedRate};
 pub use summary::{

@@ -55,7 +55,8 @@ target/release/experiments validate BENCH_cluster.json
 # so the scale experiment runs by name here. It regenerates
 # BENCH_scale.json (schema-validated below, like every other artifact)
 # and fails unless the 1024-domain steady-state control tick stays
-# within 4x of the 16-domain tick.
+# within 4x of the 16-domain tick and the 1024-domain churn cost per
+# domain within 1.75x of the 16-domain figure.
 rm -rf target/exp-scale
 target/release/experiments run scale --profile smoke --seed 42 --out target/exp-scale
 target/release/experiments validate target/exp-scale
