@@ -10,12 +10,13 @@
 //! for the frontend ring, completed file operations, and edge-triggered
 //! [`KernelSignal`]s from [`GuestKernel::take_outputs`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use iorch_simcore::trace::TraceEventKind;
 use iorch_simcore::{trace_event, SimTime};
 use iorch_storage::{IoKind, IoRequest, RequestId, RequestIdAlloc, StreamId};
 
+use crate::inthash::IntMap;
 use crate::pagecache::{chunks_of, ChunkIdx, PageCache, CHUNK_PAGES, CHUNK_SIZE, PAGE_SIZE};
 use crate::queue::{GuestQueue, GuestQueueParams, QueueEvent, Submit};
 use crate::vfs::{FileId, Vfs, VfsError};
@@ -136,16 +137,23 @@ impl GuestConfig {
     }
 }
 
-#[derive(Clone, Debug)]
+/// A coalesced `(start_chunk, chunk_count)` run; one block request each.
+type Run = (ChunkIdx, u64);
+
+fn run_chunks((start, count): Run) -> std::ops::Range<ChunkIdx> {
+    start..start + count
+}
+
+#[derive(Clone, Copy, Debug)]
 enum ReqOwner {
-    /// Read filling these missing chunks for an op.
-    OpRead { op: OpId, chunks: Vec<ChunkIdx> },
-    /// Prefetch filling these chunks; nobody waits.
-    Readahead { chunks: Vec<ChunkIdx> },
-    /// Writeback of these chunks; `sync_op` waits if it was a sync() op,
+    /// Read filling this run of missing chunks for an op.
+    OpRead { op: OpId, run: Run },
+    /// Prefetch filling this run; nobody waits.
+    Readahead { run: Run },
+    /// Writeback of this run; `sync_op` waits if it was a sync() op,
     /// `remote` marks IOrchestra `flush_now` work.
     Writeback {
-        chunks: Vec<ChunkIdx>,
+        run: Run,
         sync_op: Option<OpId>,
         remote: bool,
     },
@@ -220,11 +228,11 @@ pub struct GuestKernel {
     wb: Writeback,
     ids: RequestIdAlloc,
     next_op: u64,
-    ops: HashMap<OpId, OpState>,
-    owners: HashMap<RequestId, ReqOwner>,
+    ops: IntMap<OpId, OpState>,
+    owners: IntMap<RequestId, ReqOwner>,
     blocked: VecDeque<PendingSubmit>,
     throttled: VecDeque<(OpId, SimTime)>,
-    last_read_pos: HashMap<FileId, u64>,
+    last_read_pos: IntMap<FileId, u64>,
     remote_sync_inflight: usize,
     /// Set when a synchronous submitter (read / sync) is about to block —
     /// Linux flushes the plug list on `io_schedule`, so these requests
@@ -262,11 +270,11 @@ impl GuestKernel {
             wb: Writeback::new(cfg.wb, now),
             ids: RequestIdAlloc::new(),
             next_op: 0,
-            ops: HashMap::new(),
-            owners: HashMap::new(),
+            ops: IntMap::default(),
+            owners: IntMap::default(),
             blocked: VecDeque::new(),
             throttled: VecDeque::new(),
-            last_read_pos: HashMap::new(),
+            last_read_pos: IntMap::default(),
             remote_sync_inflight: 0,
             unplug_now: false,
             blocked_wake_at: None,
@@ -511,20 +519,10 @@ impl GuestKernel {
         }
         let op = self.alloc_op(now, OpClass::Read, runs.len());
         for run in runs {
-            let (off, rlen) = run_to_bytes(run);
-            let chunks: Vec<ChunkIdx> = (run.0..run.0 + run.1).collect();
-            self.submit_block(
-                IoKind::Read,
-                off,
-                rlen,
-                ReqOwner::OpRead { op, chunks },
-                now,
-            );
+            self.submit_block(IoKind::Read, ReqOwner::OpRead { op, run }, now);
         }
         for run in coalesce_chunks(ra_chunks, 8) {
-            let (off, rlen) = run_to_bytes(run);
-            let chunks: Vec<ChunkIdx> = (run.0..run.0 + run.1).collect();
-            self.submit_block(IoKind::Read, off, rlen, ReqOwner::Readahead { chunks }, now);
+            self.submit_block(IoKind::Read, ReqOwner::Readahead { run }, now);
         }
         op
     }
@@ -580,14 +578,10 @@ impl GuestKernel {
         }
         let op = self.alloc_op(now, OpClass::Sync, runs.len());
         for run in runs {
-            let (off, rlen) = run_to_bytes(run);
-            let chunks: Vec<ChunkIdx> = (run.0..run.0 + run.1).collect();
             self.submit_block(
                 IoKind::Write,
-                off,
-                rlen,
                 ReqOwner::Writeback {
-                    chunks,
+                    run,
                     sync_op: Some(op),
                     remote: false,
                 },
@@ -621,15 +615,11 @@ impl GuestKernel {
         );
         self.unplug_now = true;
         for run in coalesce_chunks(taken, 16) {
-            let (off, rlen) = run_to_bytes(run);
-            let chunks: Vec<ChunkIdx> = (run.0..run.0 + run.1).collect();
             self.remote_sync_inflight += 1;
             self.submit_block(
                 IoKind::Write,
-                off,
-                rlen,
                 ReqOwner::Writeback {
-                    chunks,
+                    run,
                     sync_op: None,
                     remote: true,
                 },
@@ -657,17 +647,13 @@ impl GuestKernel {
             );
         }
         for run in coalesce_chunks(chunks, 16) {
-            let (off, rlen) = run_to_bytes(run);
-            let chunks: Vec<ChunkIdx> = (run.0..run.0 + run.1).collect();
             if remote {
                 self.remote_sync_inflight += 1;
             }
             self.submit_block(
                 IoKind::Write,
-                off,
-                rlen,
                 ReqOwner::Writeback {
-                    chunks,
+                    run,
                     sync_op,
                     remote,
                 },
@@ -676,7 +662,11 @@ impl GuestKernel {
         }
     }
 
-    fn submit_block(&mut self, kind: IoKind, offset: u64, len: u64, owner: ReqOwner, now: SimTime) {
+    fn submit_block(&mut self, kind: IoKind, owner: ReqOwner, now: SimTime) {
+        let (ReqOwner::OpRead { run, .. }
+        | ReqOwner::Readahead { run }
+        | ReqOwner::Writeback { run, .. }) = owner;
+        let (offset, len) = run_to_bytes(run);
         let req = IoRequest {
             id: self.ids.alloc(),
             kind,
@@ -703,23 +693,23 @@ impl GuestKernel {
         self.queue.on_complete(1, now);
         if let Some(owner) = self.owners.remove(&id) {
             match owner {
-                ReqOwner::OpRead { op, chunks } => {
-                    for c in chunks {
+                ReqOwner::OpRead { op, run } => {
+                    for c in run_chunks(run) {
                         self.cache.insert_clean(c);
                     }
                     self.op_progress(op, 1);
                 }
-                ReqOwner::Readahead { chunks } => {
-                    for c in chunks {
+                ReqOwner::Readahead { run } => {
+                    for c in run_chunks(run) {
                         self.cache.insert_clean(c);
                     }
                 }
                 ReqOwner::Writeback {
-                    chunks,
+                    run,
                     sync_op,
                     remote,
                 } => {
-                    for c in chunks {
+                    for c in run_chunks(run) {
                         self.wb.on_chunk_done(&mut self.cache, c);
                     }
                     if let Some(op) = sync_op {

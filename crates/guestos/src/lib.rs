@@ -18,6 +18,7 @@
 
 #![warn(missing_docs)]
 
+mod inthash;
 mod kernel;
 mod pagecache;
 mod queue;

@@ -4,10 +4,27 @@
 //! disk chunk index. The dirty counters reproduce what Linux exposes via
 //! `bdi_writeback.nr` — the quantity a guest publishes to the system store
 //! as `has_dirty_pages` under IOrchestra (paper §3.1).
+//!
+//! Every operation is O(1) apart from the eviction scan and an
+//! out-of-order dirty insert:
+//!
+//! * resident chunks live in a slab of nodes (freed slots are chained into
+//!   a free list) indexed by an integer-hashed `chunk → slot` map;
+//! * the nodes form one intrusive doubly-linked LRU list, least recently
+//!   used at the head; reads, writes and re-inserts move a node to the
+//!   tail, while a writeback completion leaves it where it is;
+//! * dirty chunks wait in a FIFO of `(dirtied_at, chunk)` keys kept in
+//!   ascending order. Dirtying times arrive almost always in order, so a
+//!   new key is pushed at the back; a key that is not greater than the
+//!   back (the same instant with a lower chunk index) is inserted at its
+//!   sorted position. The flusher therefore takes chunks oldest first,
+//!   ties broken by ascending chunk index.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::VecDeque;
 
 use iorch_simcore::SimTime;
+
+use crate::inthash::IntMap;
 
 /// Bytes per page (x86 default).
 pub const PAGE_SIZE: u64 = 4096;
@@ -40,21 +57,31 @@ enum ChunkState {
     DirtyWriteback,
 }
 
+/// End-of-list marker for slab links.
+const NIL: u32 = u32::MAX;
+
+/// One slab slot: a resident chunk and its LRU links (a free slot keeps
+/// the next free slot in `next`).
 #[derive(Clone, Copy, Debug)]
-struct Chunk {
+struct Node {
+    idx: ChunkIdx,
     state: ChunkState,
-    lru_stamp: u64,
-    dirtied_at: SimTime,
+    prev: u32,
+    next: u32,
 }
 
 /// LRU page cache with dirty tracking at chunk granularity.
 #[derive(Clone, Debug)]
 pub struct PageCache {
     capacity_pages: u64,
-    chunks: HashMap<ChunkIdx, Chunk>,
-    lru: BTreeMap<u64, ChunkIdx>,
-    dirty_order: BTreeMap<(SimTime, ChunkIdx), ()>,
-    next_stamp: u64,
+    nodes: Vec<Node>,
+    free: u32,
+    slot_of: IntMap<ChunkIdx, u32>,
+    /// Least recently used end of the LRU list.
+    head: u32,
+    /// Most recently used end of the LRU list.
+    tail: u32,
+    dirty_order: VecDeque<(SimTime, ChunkIdx)>,
     dirty_chunks: u64,
     writeback_chunks: u64,
 }
@@ -68,43 +95,111 @@ impl PageCache {
         );
         PageCache {
             capacity_pages,
-            chunks: HashMap::new(),
-            lru: BTreeMap::new(),
-            dirty_order: BTreeMap::new(),
-            next_stamp: 0,
+            nodes: Vec::new(),
+            free: NIL,
+            slot_of: IntMap::default(),
+            head: NIL,
+            tail: NIL,
+            dirty_order: VecDeque::new(),
             dirty_chunks: 0,
             writeback_chunks: 0,
         }
     }
 
-    fn stamp(&mut self) -> u64 {
-        let s = self.next_stamp;
-        self.next_stamp += 1;
-        s
+    fn node(&mut self, slot: u32) -> &mut Node {
+        &mut self.nodes[slot as usize]
     }
 
-    fn touch_lru(&mut self, idx: ChunkIdx) {
-        let new_stamp = self.stamp();
-        if let Some(c) = self.chunks.get_mut(&idx) {
-            self.lru.remove(&c.lru_stamp);
-            c.lru_stamp = new_stamp;
-            self.lru.insert(new_stamp, idx);
+    fn link_tail(&mut self, slot: u32) {
+        let old_tail = self.tail;
+        let n = self.node(slot);
+        n.prev = old_tail;
+        n.next = NIL;
+        match old_tail {
+            NIL => self.head = slot,
+            t => self.node(t).next = slot,
+        }
+        self.tail = slot;
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let Node { prev, next, .. } = *self.node(slot);
+        match prev {
+            NIL => self.head = next,
+            p => self.node(p).next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.node(n).prev = prev,
+        }
+    }
+
+    /// Make `slot` the most recently used chunk.
+    fn touch_slot(&mut self, slot: u32) {
+        if slot != self.tail {
+            self.unlink(slot);
+            self.link_tail(slot);
+        }
+    }
+
+    /// Add a resident chunk as the most recently used one.
+    fn insert_slot(&mut self, idx: ChunkIdx, state: ChunkState) {
+        let node = Node {
+            idx,
+            state,
+            prev: NIL,
+            next: NIL,
+        };
+        let slot = match self.free {
+            NIL => {
+                self.nodes.push(node);
+                u32::try_from(self.nodes.len() - 1).expect("page cache slab overflow")
+            }
+            s => {
+                self.free = self.nodes[s as usize].next;
+                self.nodes[s as usize] = node;
+                s
+            }
+        };
+        self.slot_of.insert(idx, slot);
+        self.link_tail(slot);
+    }
+
+    fn remove_slot(&mut self, slot: u32) {
+        self.unlink(slot);
+        let n = &mut self.nodes[slot as usize];
+        n.next = self.free;
+        self.slot_of.remove(&n.idx);
+        self.free = slot;
+    }
+
+    /// Queue a newly dirtied chunk for writeback, keeping the queue sorted
+    /// by `(dirtied_at, chunk)`.
+    fn push_dirty(&mut self, now: SimTime, idx: ChunkIdx) {
+        let key = (now, idx);
+        if self.dirty_order.back().is_none_or(|&back| back < key) {
+            self.dirty_order.push_back(key);
+        } else {
+            let at = self.dirty_order.partition_point(|&e| e < key);
+            self.dirty_order.insert(at, key);
         }
     }
 
     /// Whether a chunk is resident (hit).
     pub fn contains(&self, idx: ChunkIdx) -> bool {
-        self.chunks.contains_key(&idx)
+        self.slot_of.contains_key(&idx)
     }
 
     /// Record a read hit, refreshing LRU position.
     pub fn touch(&mut self, idx: ChunkIdx) {
-        self.touch_lru(idx);
+        if let Some(&slot) = self.slot_of.get(&idx) {
+            self.touch_slot(slot);
+        }
     }
 
     /// Total resident pages.
     pub fn resident_pages(&self) -> u64 {
-        self.chunks.len() as u64 * CHUNK_PAGES
+        self.slot_of.len() as u64 * CHUNK_PAGES
     }
 
     /// Dirty pages, the `bdi_writeback.nr` analogue (includes chunks that
@@ -144,44 +239,40 @@ impl PageCache {
     /// stay within capacity; dirty/writeback chunks are never evicted.
     /// Returns the evicted chunk indices.
     pub fn insert_clean(&mut self, idx: ChunkIdx) -> Vec<ChunkIdx> {
-        if self.chunks.contains_key(&idx) {
-            self.touch_lru(idx);
+        if let Some(&slot) = self.slot_of.get(&idx) {
+            self.touch_slot(slot);
             return Vec::new();
         }
-        let stamp = self.stamp();
-        self.chunks.insert(
-            idx,
-            Chunk {
-                state: ChunkState::Clean,
-                lru_stamp: stamp,
-                dirtied_at: SimTime::ZERO,
-            },
-        );
-        self.lru.insert(stamp, idx);
+        self.insert_slot(idx, ChunkState::Clean);
         self.evict_to_capacity(idx)
     }
 
     fn evict_to_capacity(&mut self, protect: ChunkIdx) -> Vec<ChunkIdx> {
         let mut evicted = Vec::new();
+        // Chunks the cursor has passed are dirty, under writeback or the
+        // protected one, and evicting a clean chunk changes none of them,
+        // so each victim search resumes where the previous one stopped.
+        let mut cursor = self.head;
         while self.resident_pages() > self.capacity_pages {
             // Find the least-recently-used *clean* chunk, never the one
             // being inserted right now (it is in use by the caller).
-            let victim = self
-                .lru
-                .iter()
-                .map(|(_, &i)| i)
-                .find(|&i| i != protect && self.chunks[&i].state == ChunkState::Clean);
-            match victim {
-                Some(i) => {
-                    let c = self.chunks.remove(&i).unwrap();
-                    self.lru.remove(&c.lru_stamp);
-                    evicted.push(i);
+            while cursor != NIL {
+                let n = &self.nodes[cursor as usize];
+                if n.idx != protect && n.state == ChunkState::Clean {
+                    break;
                 }
-                // All remaining chunks are dirty or in writeback; the cache
-                // temporarily exceeds capacity (Linux allows this up to the
-                // dirty limits; the kernel reacts by throttling writers).
-                None => break,
+                cursor = n.next;
             }
+            // All remaining chunks are dirty or in writeback; the cache
+            // temporarily exceeds capacity (Linux allows this up to the
+            // dirty limits; the kernel reacts by throttling writers).
+            if cursor == NIL {
+                break;
+            }
+            let victim = cursor;
+            cursor = self.nodes[victim as usize].next;
+            evicted.push(self.nodes[victim as usize].idx);
+            self.remove_slot(victim);
         }
         evicted
     }
@@ -189,46 +280,27 @@ impl PageCache {
     /// Mark a chunk dirty at `now` (write). Inserts it if absent. Returns
     /// any chunks evicted to make room.
     pub fn mark_dirty(&mut self, idx: ChunkIdx, now: SimTime) -> Vec<ChunkIdx> {
-        let stamp = self.stamp();
-        let mut evicted = Vec::new();
-        match self.chunks.get_mut(&idx) {
-            Some(c) => {
-                self.lru.remove(&c.lru_stamp);
-                c.lru_stamp = stamp;
-                self.lru.insert(stamp, idx);
-                match c.state {
-                    ChunkState::Clean => {
-                        c.state = ChunkState::Dirty;
-                        c.dirtied_at = now;
-                        self.dirty_order.insert((now, idx), ());
-                        self.dirty_chunks += 1;
-                    }
-                    ChunkState::Dirty | ChunkState::DirtyWriteback => {}
-                    ChunkState::Writeback => {
-                        c.state = ChunkState::DirtyWriteback;
-                        c.dirtied_at = now;
-                        self.dirty_order.insert((now, idx), ());
-                        self.dirty_chunks += 1;
-                        self.writeback_chunks -= 1;
-                    }
-                }
-            }
-            None => {
-                self.chunks.insert(
-                    idx,
-                    Chunk {
-                        state: ChunkState::Dirty,
-                        lru_stamp: stamp,
-                        dirtied_at: now,
-                    },
-                );
-                self.lru.insert(stamp, idx);
-                self.dirty_order.insert((now, idx), ());
-                self.dirty_chunks += 1;
-                evicted = self.evict_to_capacity(idx);
-            }
+        let Some(&slot) = self.slot_of.get(&idx) else {
+            self.insert_slot(idx, ChunkState::Dirty);
+            self.push_dirty(now, idx);
+            self.dirty_chunks += 1;
+            return self.evict_to_capacity(idx);
+        };
+        self.touch_slot(slot);
+        let n = &mut self.nodes[slot as usize];
+        let was = n.state;
+        n.state = match was {
+            ChunkState::Clean => ChunkState::Dirty,
+            ChunkState::Writeback => ChunkState::DirtyWriteback,
+            ChunkState::Dirty | ChunkState::DirtyWriteback => return Vec::new(),
+        };
+        if was == ChunkState::Writeback {
+            // Re-dirtied in flight: counted as dirty, not as writeback.
+            self.writeback_chunks -= 1;
         }
-        evicted
+        self.push_dirty(now, idx);
+        self.dirty_chunks += 1;
+        Vec::new()
     }
 
     /// Take up to `max_chunks` dirty chunks, oldest first, transitioning
@@ -241,22 +313,19 @@ impl PageCache {
     ) -> Vec<ChunkIdx> {
         let mut taken = Vec::new();
         while taken.len() < max_chunks {
-            let candidate = self.dirty_order.keys().next().copied();
-            let Some((dirtied_at, idx)) = candidate else {
+            let Some(&(dirtied_at, idx)) = self.dirty_order.front() else {
                 break;
             };
-            if let Some(limit) = expired_before {
-                if dirtied_at >= limit {
-                    break;
-                }
+            if expired_before.is_some_and(|limit| dirtied_at >= limit) {
+                break;
             }
-            self.dirty_order.remove(&(dirtied_at, idx));
-            let c = self.chunks.get_mut(&idx).expect("dirty chunk must exist");
+            self.dirty_order.pop_front();
+            let n = &mut self.nodes[self.slot_of[&idx] as usize];
             debug_assert!(matches!(
-                c.state,
+                n.state,
                 ChunkState::Dirty | ChunkState::DirtyWriteback
             ));
-            c.state = ChunkState::Writeback;
+            n.state = ChunkState::Writeback;
             self.dirty_chunks -= 1;
             self.writeback_chunks += 1;
             taken.push(idx);
@@ -265,36 +334,41 @@ impl PageCache {
     }
 
     /// Writeback of a chunk completed. If it was re-dirtied meanwhile it
-    /// stays dirty; otherwise it becomes clean (and evictable).
+    /// stays dirty; otherwise it becomes clean (and evictable) at its
+    /// current LRU position.
     pub fn writeback_done(&mut self, idx: ChunkIdx) {
-        if let Some(c) = self.chunks.get_mut(&idx) {
-            match c.state {
-                ChunkState::Writeback => {
-                    c.state = ChunkState::Clean;
-                    self.writeback_chunks -= 1;
-                }
-                ChunkState::DirtyWriteback => {
-                    // Already re-flagged dirty by mark_dirty; nothing to do.
-                    c.state = ChunkState::Dirty;
-                }
-                _ => {}
+        let Some(&slot) = self.slot_of.get(&idx) else {
+            return;
+        };
+        let n = &mut self.nodes[slot as usize];
+        match n.state {
+            ChunkState::Writeback => {
+                n.state = ChunkState::Clean;
+                self.writeback_chunks -= 1;
             }
+            ChunkState::DirtyWriteback => {
+                // Already re-flagged dirty by mark_dirty; nothing to do.
+                n.state = ChunkState::Dirty;
+            }
+            _ => {}
         }
     }
 
     /// Age of the oldest dirty chunk at `now`, if any.
     pub fn oldest_dirty_age(&self, now: SimTime) -> Option<iorch_simcore::SimDuration> {
         self.dirty_order
-            .keys()
-            .next()
+            .front()
             .map(|&(t, _)| now.saturating_since(t))
     }
 
     /// Drop every chunk for a teardown (no writeback; caller must have
     /// synced first if durability matters).
     pub fn clear(&mut self) {
-        self.chunks.clear();
-        self.lru.clear();
+        self.nodes.clear();
+        self.free = NIL;
+        self.slot_of.clear();
+        self.head = NIL;
+        self.tail = NIL;
         self.dirty_order.clear();
         self.dirty_chunks = 0;
         self.writeback_chunks = 0;
@@ -409,6 +483,27 @@ mod tests {
         let age = pc.oldest_dirty_age(t(110)).unwrap();
         assert_eq!(age, iorch_simcore::SimDuration::from_millis(100));
         assert!(PageCache::new(1024).oldest_dirty_age(t(0)).is_none());
+    }
+
+    #[test]
+    fn same_instant_dirty_ties_flush_in_chunk_order() {
+        let mut pc = PageCache::new(1024);
+        pc.mark_dirty(9, t(0));
+        pc.mark_dirty(3, t(0));
+        assert_eq!(pc.take_dirty_batch(10, None), vec![3, 9]);
+    }
+
+    #[test]
+    fn writeback_completion_keeps_lru_position() {
+        // Capacity of exactly 2 chunks.
+        let mut pc = PageCache::new(2 * CHUNK_PAGES);
+        pc.mark_dirty(1, t(0));
+        pc.insert_clean(2);
+        assert_eq!(pc.take_dirty_batch(10, None), vec![1]);
+        // Cleaned after 2 was used: 1 is still the least recently used.
+        pc.writeback_done(1);
+        assert_eq!(pc.insert_clean(3), vec![1]);
+        assert!(pc.contains(2) && pc.contains(3));
     }
 
     #[test]

@@ -2,6 +2,11 @@
 //! disk address space. Workloads speak `(file, offset, len)`; the kernel
 //! translates to virtual-disk byte offsets, which the hypervisor later
 //! shifts into the host device's address space.
+//!
+//! The file table is a `Vec` indexed by [`FileId`]: ids are handed out in
+//! creation order and never reused, and a deleted file leaves an empty
+//! slot, so the per-I/O lookup is one bounds-checked index. Free space is
+//! a first-fit extent map keyed by start offset.
 
 use std::collections::BTreeMap;
 
@@ -19,10 +24,11 @@ struct FileMeta {
 #[derive(Clone, Debug)]
 pub struct Vfs {
     disk_size: u64,
-    files: BTreeMap<FileId, FileMeta>,
+    /// Indexed by `FileId`; `None` once the file is deleted.
+    files: Vec<Option<FileMeta>>,
+    live_files: usize,
     // Free extents keyed by start offset -> length; coalesced on free.
     free: BTreeMap<u64, u64>,
-    next_id: u64,
 }
 
 /// Errors from file operations.
@@ -45,10 +51,17 @@ impl Vfs {
         }
         Vfs {
             disk_size,
-            files: BTreeMap::new(),
+            files: Vec::new(),
+            live_files: 0,
             free,
-            next_id: 0,
         }
+    }
+
+    fn meta(&self, id: FileId) -> Result<&FileMeta, VfsError> {
+        usize::try_from(id.0)
+            .ok()
+            .and_then(|i| self.files.get(i)?.as_ref())
+            .ok_or(VfsError::NotFound)
     }
 
     /// Virtual-disk size in bytes.
@@ -58,12 +71,12 @@ impl Vfs {
 
     /// Number of live files.
     pub fn file_count(&self) -> usize {
-        self.files.len()
+        self.live_files
     }
 
     /// Total bytes allocated to files.
     pub fn used_bytes(&self) -> u64 {
-        self.files.values().map(|f| f.size).sum()
+        self.files.iter().flatten().map(|f| f.size).sum()
     }
 
     /// Create a file of `size` bytes (first-fit).
@@ -79,16 +92,20 @@ impl Vfs {
         if len > size {
             self.free.insert(start + size, len - size);
         }
-        let id = FileId(self.next_id);
-        self.next_id += 1;
-        self.files.insert(id, FileMeta { start, size });
+        let id = FileId(self.files.len() as u64);
+        self.files.push(Some(FileMeta { start, size }));
+        self.live_files += 1;
         Ok(id)
     }
 
     /// Delete a file, returning its extent to the free list (coalescing
     /// with neighbours).
     pub fn delete(&mut self, id: FileId) -> Result<(), VfsError> {
-        let meta = self.files.remove(&id).ok_or(VfsError::NotFound)?;
+        let meta = usize::try_from(id.0)
+            .ok()
+            .and_then(|i| self.files.get_mut(i)?.take())
+            .ok_or(VfsError::NotFound)?;
+        self.live_files -= 1;
         let mut start = meta.start;
         let mut len = meta.size;
         // Coalesce with the previous free extent if adjacent.
@@ -112,17 +129,15 @@ impl Vfs {
 
     /// File size in bytes.
     pub fn size_of(&self, id: FileId) -> Result<u64, VfsError> {
-        self.files
-            .get(&id)
-            .map(|m| m.size)
-            .ok_or(VfsError::NotFound)
+        self.meta(id).map(|m| m.size)
     }
 
     /// Translate a file-relative range to a virtual-disk byte offset.
     pub fn translate(&self, id: FileId, offset: u64, len: u64) -> Result<u64, VfsError> {
-        let meta = self.files.get(&id).ok_or(VfsError::NotFound)?;
-        if offset + len > meta.size {
-            return Err(VfsError::OutOfBounds);
+        let meta = self.meta(id)?;
+        match offset.checked_add(len) {
+            Some(end) if end <= meta.size => {}
+            _ => return Err(VfsError::OutOfBounds),
         }
         Ok(meta.start + offset)
     }
@@ -184,6 +199,36 @@ mod tests {
     fn delete_unknown_file() {
         let mut vfs = Vfs::new(1 << 20);
         assert_eq!(vfs.delete(FileId(5)), Err(VfsError::NotFound));
+        assert_eq!(vfs.delete(FileId(u64::MAX)), Err(VfsError::NotFound));
+    }
+
+    #[test]
+    fn translate_rejects_overflowing_range() {
+        let mut vfs = Vfs::new(1 << 20);
+        let a = vfs.create(4096).unwrap();
+        // offset + len wraps past u64::MAX to a small in-bounds value.
+        assert_eq!(vfs.translate(a, u64::MAX, 2), Err(VfsError::OutOfBounds));
+        assert_eq!(vfs.translate(a, 2, u64::MAX), Err(VfsError::OutOfBounds));
+        assert_eq!(vfs.translate(a, 4096, 0).unwrap(), 4096);
+    }
+
+    #[test]
+    fn double_delete_is_not_found_and_ids_are_not_reused() {
+        let mut vfs = Vfs::new(1 << 20);
+        let a = vfs.create(4096).unwrap();
+        let b = vfs.create(4096).unwrap();
+        vfs.delete(a).unwrap();
+        assert_eq!(vfs.delete(a), Err(VfsError::NotFound));
+        assert_eq!(vfs.translate(a, 0, 1), Err(VfsError::NotFound));
+        assert_eq!(vfs.size_of(a), Err(VfsError::NotFound));
+        assert_eq!(vfs.file_count(), 1);
+        let c = vfs.create(4096).unwrap();
+        assert_ne!(c, a);
+        assert_ne!(c, b);
+        // The new file reuses a's extent, not its id.
+        assert_eq!(vfs.translate(c, 0, 1).unwrap(), 0);
+        assert_eq!(vfs.file_count(), 2);
+        assert_eq!(vfs.used_bytes(), 8192);
     }
 
     #[test]

@@ -67,6 +67,12 @@ target/release/experiments validate BENCH_scale.json
 # non-interference contract (the exhaustive sweep is #[ignore]d in debug).
 cargo test -q --offline -p iorch-bench --release --test experiment_determinism -- --include-ignored
 
+# Page-cache differential oracle: the slab/LRU-list/dirty-FIFO cache must
+# match a naive Vec-based reference model on every return value and
+# counter, across seed-swept op scripts at capacities of 1-8 chunks (the
+# heavy sweep is #[ignore]d in debug).
+cargo test -q --offline -p iorch-guestos --release --test pagecache_model -- --include-ignored
+
 # Timer-wheel differential oracle: the wheel scheduler must fire the
 # exact same events in the exact same order as the frozen binary-heap
 # engine, across randomized op scripts (run in release for seed volume).
