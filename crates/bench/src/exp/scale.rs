@@ -7,7 +7,8 @@
 //! at 16/128/1024 domains, in two variants per count:
 //!
 //! * **steady** — no guest activity at all after warm-up: every dirty set
-//!   is empty, so a tick should cost the same at 1024 domains as at 16.
+//!   is empty and no co-scheduling input moves, so a tick should cost the
+//!   same at 1024 domains as at 16.
 //!   The tier-1 gate asserts the last axis point stays within 4x of the
 //!   first (1024 vs 16 under the shipped spec).
 //! * **churn** — 1% of the domains (min 1) are destroyed and recreated
@@ -37,7 +38,9 @@ use iorchestra::{IOrchestraConfig, PolicyEngine, PolicySet};
 
 use super::{gate, Ctx, Figure};
 
-/// One harness: a Paravirt machine with `doms` idle domains and the full
+/// One harness: a machine with one dedicated I/O core per socket (the
+/// shape `SystemKind::IOrchestra` provisions, so Algorithm 3's
+/// co-scheduling rule runs) with `doms` idle domains and the full
 /// IOrchestra policy engine held *outside* the machine, so ticks can be
 /// driven (and timed) directly without scheduler dispatch on the path.
 struct Harness {
@@ -55,7 +58,10 @@ impl Harness {
     fn new(doms: u32, seed: u64) -> Self {
         let mut sim = Simulation::new(Cluster::new());
         let (cl, s) = sim.parts_mut();
-        let idx = cl.add_machine(MachineConfig::paper_testbed(seed, IoPathMode::Paravirt));
+        let idx = cl.add_machine(MachineConfig::paper_testbed(
+            seed,
+            IoPathMode::DedicatedCores { per_socket: true },
+        ));
         let mut plane = PolicyEngine::new(PolicySet::iorchestra(IOrchestraConfig::new(seed)));
         let mut ids = Vec::with_capacity(doms as usize);
         for _ in 0..doms {

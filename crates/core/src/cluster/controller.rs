@@ -2,14 +2,26 @@
 //! and domain failover.
 //!
 //! The controller is deliberately *stateless about intent*: the desired
-//! placement is recomputed on every tick as a pure function of the alive
-//! membership and the durable domain catalog ([`Controller::desired`]),
-//! and reconciliation only diffs that against the ground-truth `owned`
-//! sets nodes report in heartbeats. There is no placement journal to
-//! corrupt — a controller that crashes and restarts (fresh epoch, empty
-//! membership) rebuilds everything from heartbeats and converges to the
-//! same steady state as a controller that never crashed, which is exactly
-//! what the cluster convergence oracle asserts.
+//! placement is a pure function of the alive membership and the durable
+//! domain catalog ([`Controller::desired`]), and reconciliation only
+//! diffs that against the ground-truth `owned` sets nodes report in
+//! heartbeats. There is no placement journal to corrupt — a controller
+//! that crashes and restarts (fresh epoch, empty membership) rebuilds
+//! everything from heartbeats and converges to the same steady state as
+//! a controller that never crashed, which is exactly what the cluster
+//! convergence oracle asserts.
+//!
+//! # Per-tick cost
+//!
+//! The placement is memoized, keyed on everything it reads: a catalog
+//! version (bumped by [`submit`](Controller::submit) and
+//! [`retire`](Controller::retire)) and the ascending `(node, caps)` list
+//! of alive members. A tick whose key is unchanged reuses the last
+//! placement; a changed key reruns the whole pass, so the memo is a
+//! cache of the pure function, never state of its own. Reconciliation is
+//! two merge-joins of ascending lists — the desired `(ldom, node)` list
+//! against each alive member's `owned` vector and in-flight commands — so
+//! a tick costs a linear walk instead of a map lookup per domain.
 //!
 //! Command reliability follows the policy engine's epoch scheme
 //! (DESIGN.md §7): every command carries `(epoch, seq)` plus the target's
@@ -56,6 +68,17 @@ struct Rpc {
     attempt: u32,
 }
 
+/// The memoized desired placement, with the key it was computed under.
+#[derive(Default)]
+struct Placement {
+    /// Catalog version at computation.
+    version: u64,
+    /// Alive members' `(node, caps)` at computation, ascending by node.
+    alive: Vec<(u32, NodeCaps)>,
+    /// Desired `(ldom, node)` pairs, ascending by ldom.
+    list: Vec<(u32, u32)>,
+}
+
 /// Monotonic controller counters (excluded from convergence digests).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ControllerStats {
@@ -85,7 +108,11 @@ pub struct Controller {
     /// Durable domain catalog: `ldom → spec`. Survives controller
     /// crashes (etcd-style persistence in a real deployment).
     catalog: BTreeMap<u32, VmSpec>,
+    /// Bumped on every catalog change (half of the placement memo key).
+    catalog_version: u64,
     next_ldom: u32,
+    /// Memoized [`desired`](Self::desired) placement.
+    placement: Placement,
     /// Domains orphaned by a lease expiry, with their dead former owner
     /// (for failover tracing).
     orphans: BTreeMap<u32, u32>,
@@ -107,7 +134,9 @@ impl Controller {
             grace_until: SimTime::ZERO,
             members: BTreeMap::new(),
             catalog: BTreeMap::new(),
+            catalog_version: 0,
             next_ldom: 0,
+            placement: Placement::default(),
             orphans: BTreeMap::new(),
             next_seq: 0,
             inflight: BTreeMap::new(),
@@ -119,12 +148,14 @@ impl Controller {
     pub fn submit(&mut self, spec: VmSpec) -> u32 {
         self.next_ldom += 1;
         self.catalog.insert(self.next_ldom, spec);
+        self.catalog_version += 1;
         self.next_ldom
     }
 
     /// Remove a domain from the catalog (reconciliation stops it).
     pub fn retire(&mut self, ldom: u32) {
         self.catalog.remove(&ldom);
+        self.catalog_version += 1;
         self.orphans.remove(&ldom);
     }
 
@@ -165,28 +196,52 @@ impl Controller {
 
     /// Desired placement: a pure function of the alive membership and the
     /// catalog. Greedy in ascending `ldom` order over
-    /// [`placement::place`]; domains that fit nowhere are omitted.
+    /// [`placement::place`]; domains that fit nowhere are omitted. Served
+    /// from the memo when its key is current, else computed afresh.
     pub fn desired(&self) -> BTreeMap<u32, u32> {
-        let mut views: Vec<NodeView> = self
-            .members
+        if self.placement_is_current() {
+            self.placement.list.iter().copied().collect()
+        } else {
+            self.place_catalog().into_iter().collect()
+        }
+    }
+
+    /// Alive members' `(node, caps)`, ascending by node: what the
+    /// placement reads of the membership.
+    fn alive_caps(&self) -> impl Iterator<Item = (u32, NodeCaps)> + '_ {
+        self.members
             .iter()
             .filter(|(_, m)| m.alive)
-            .map(|(&n, m)| {
-                NodeView::new(
-                    n,
-                    m.caps.total_vcpus,
-                    m.caps.numa_max_vcpus,
-                    m.caps.mem_quota,
-                )
-            })
+            .map(|(&n, m)| (n, m.caps))
+    }
+
+    /// Whether the memo was computed under the current key.
+    fn placement_is_current(&self) -> bool {
+        self.placement.version == self.catalog_version
+            && self.placement.alive.iter().copied().eq(self.alive_caps())
+    }
+
+    /// One full placement pass: `(ldom, node)`, ascending by ldom.
+    fn place_catalog(&self) -> Vec<(u32, u32)> {
+        let mut views: Vec<NodeView> = self
+            .alive_caps()
+            .map(|(n, c)| NodeView::new(n, c.total_vcpus, c.numa_max_vcpus, c.mem_quota))
             .collect();
-        let mut out = BTreeMap::new();
-        for (&ldom, spec) in &self.catalog {
-            if let Some(node) = placement::place(spec, &mut views) {
-                out.insert(ldom, node);
-            }
+        self.catalog
+            .iter()
+            .filter_map(|(&ldom, spec)| placement::place(spec, &mut views).map(|n| (ldom, n)))
+            .collect()
+    }
+
+    /// Recompute the memo if its key moved.
+    fn refresh_placement(&mut self) {
+        if !self.placement_is_current() {
+            self.placement = Placement {
+                version: self.catalog_version,
+                alive: self.alive_caps().collect(),
+                list: self.place_catalog(),
+            };
         }
-        out
     }
 
     /// Crash: volatile state (membership, in-flight commands, orphan
@@ -278,14 +333,14 @@ impl Controller {
     }
 
     fn reconcile(&mut self, bus: &mut MsgBus<Msg>, now: SimTime) {
-        let desired = self.desired();
-        // Starts: the desired owner doesn't report the domain yet.
-        for (&ldom, &node) in &desired {
-            let has_it = self
-                .members
-                .get(&node)
-                .is_some_and(|m| m.owned.binary_search(&ldom).is_ok());
-            if has_it || self.inflight.contains_key(&(node, ldom)) {
+        self.refresh_placement();
+        for Cmd { start, node, ldom } in self.diff() {
+            if !start {
+                trace_event!(
+                    now,
+                    TraceEventKind::Decision(Decision::DomainEvicted { dom: ldom, node })
+                );
+                self.issue(bus, now, node, ldom, false, None, 0);
                 continue;
             }
             trace_event!(
@@ -306,35 +361,76 @@ impl Controller {
             let spec = self.catalog.get(&ldom).copied();
             self.issue(bus, now, node, ldom, true, spec, 0);
         }
+    }
+
+    /// The commands one reconcile issues, in issue order: starts ascending
+    /// by ldom, then stops ascending by `(node, ldom)`. Both come from
+    /// merge-joins of the memoized desired list against each alive
+    /// member's ascending `owned` vector and in-flight ldoms. Issuing a
+    /// command never changes another entry's verdict (each key appears
+    /// once), so the diff is taken before anything is issued.
+    fn diff(&self) -> Vec<Cmd> {
+        let desired = &self.placement.list;
+        let inflight: Vec<(u32, u32)> = self.inflight.keys().copied().collect();
+        // Alive members ascending by node. Every desired node is among
+        // them: the memo was placed over exactly this membership.
+        let alive: Vec<Side<'_>> = self
+            .members
+            .iter()
+            .filter(|(_, m)| m.alive)
+            .map(|(&node, m)| {
+                let lo = inflight.partition_point(|&(n, _)| n < node);
+                let hi = inflight.partition_point(|&(n, _)| n <= node);
+                Side {
+                    node,
+                    owned: &m.owned,
+                    inflight: &inflight[lo..hi],
+                }
+            })
+            .collect();
+        let mut cmds = Vec::new();
+        // Starts: the desired owner doesn't report the domain yet and has
+        // no command for it in flight.
+        let mut cursors = vec![(0, 0); alive.len()];
+        for &(ldom, node) in desired {
+            let Ok(i) = alive.binary_search_by_key(&node, |a| a.node) else {
+                continue;
+            };
+            let (o, p) = &mut cursors[i];
+            if seek(alive[i].owned, o, ldom, |l| l).is_none()
+                && seek(alive[i].inflight, p, ldom, |(_, l)| l).is_none()
+            {
+                cmds.push(Cmd {
+                    start: true,
+                    node,
+                    ldom,
+                });
+            }
+        }
         // Stops: an alive node owns a domain it shouldn't. Make before
         // break — a superseded copy is only stopped once the desired
         // owner actually reports it (retired domains stop immediately).
-        let mut stops: Vec<(u32, u32)> = Vec::new();
-        for (&node, m) in &self.members {
-            if !m.alive {
-                continue;
-            }
-            for &ldom in &m.owned {
-                let keep = match desired.get(&ldom) {
-                    Some(&d) if d == node => true,
-                    Some(&d) => self
+        for side in &alive {
+            let (mut d, mut p) = (0, 0);
+            for &ldom in side.owned {
+                let keep = match seek(desired, &mut d, ldom, |(l, _)| l) {
+                    Some((_, want)) if want == side.node => true,
+                    Some((_, want)) => self
                         .members
-                        .get(&d)
-                        .is_none_or(|dm| dm.owned.binary_search(&ldom).is_err()),
+                        .get(&want)
+                        .is_none_or(|m| m.owned.binary_search(&ldom).is_err()),
                     None => self.catalog.contains_key(&ldom),
                 };
-                if !keep && !self.inflight.contains_key(&(node, ldom)) {
-                    stops.push((node, ldom));
+                if !keep && seek(side.inflight, &mut p, ldom, |(_, l)| l).is_none() {
+                    cmds.push(Cmd {
+                        start: false,
+                        node: side.node,
+                        ldom,
+                    });
                 }
             }
         }
-        for (node, ldom) in stops {
-            trace_event!(
-                now,
-                TraceEventKind::Decision(Decision::DomainEvicted { dom: ldom, node })
-            );
-            self.issue(bus, now, node, ldom, false, None, 0);
-        }
+        cmds
     }
 
     /// Issue (or re-issue) a command under a fresh sequence number, with
@@ -517,13 +613,12 @@ impl Controller {
         }
         // Ground truth resolves in-flight commands even when acks are
         // lost: a Start is done once owned, a Stop once gone.
-        let m = &self.members[&node];
-        let owned_now = m.owned.clone();
+        let owned = &self.members[&node].owned;
         self.inflight.retain(|&(n, ldom), rpc| {
             if n != node {
                 return true;
             }
-            let has = owned_now.binary_search(&ldom).is_ok();
+            let has = owned.binary_search(&ldom).is_ok();
             rpc.start != has
         });
         self.grant_lease(bus, node, now);
@@ -537,4 +632,30 @@ impl Controller {
         self.inflight
             .retain(|&(n, _), rpc| !(n == node && rpc.seq == seq));
     }
+}
+
+/// One reconcile command: start or stop `ldom` on `node`.
+struct Cmd {
+    start: bool,
+    node: u32,
+    ldom: u32,
+}
+
+/// One alive member's side of the reconcile merge-joins.
+struct Side<'a> {
+    node: u32,
+    /// Ground-truth owned set, ascending.
+    owned: &'a [u32],
+    /// This node's in-flight `(node, ldom)` commands, ascending.
+    inflight: &'a [(u32, u32)],
+}
+
+/// One merge-join step: advance the cursor `at` over `list` (ascending
+/// by `key`) past every entry keyed below `x`, and return the entry keyed
+/// `x`, if any. Successive calls must ask for ascending `x`.
+fn seek<T: Copy>(list: &[T], at: &mut usize, x: u32, key: impl Fn(T) -> u32) -> Option<T> {
+    while list.get(*at).is_some_and(|&e| key(e) < x) {
+        *at += 1;
+    }
+    list.get(*at).copied().filter(|&e| key(e) == x)
 }

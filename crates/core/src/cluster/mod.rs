@@ -13,10 +13,11 @@
 //! * **Membership**: nodes register under a boot incarnation and renew a
 //!   lease with periodic heartbeats carrying their ground-truth owned
 //!   set. An expired lease marks the node dead and orphans its domains.
-//! * **Placement**: the desired placement is recomputed every controller
-//!   tick as a *pure function* of the alive membership and the durable
-//!   domain catalog (greedy over [`placement::place`]), so any two
-//!   controllers with the same view agree byte-for-byte.
+//! * **Placement**: the desired placement is a *pure function* of the
+//!   alive membership and the durable domain catalog (greedy over
+//!   [`placement::place`]), so any two controllers with the same view
+//!   agree byte-for-byte. The controller memoizes it and recomputes only
+//!   when the catalog or the alive membership changed.
 //! * **Reconciliation**: the controller diffs desired against reported
 //!   ownership and issues idempotent, epoch-stamped `Start`/`Stop`
 //!   commands with timeout + exponential-backoff retry. Superseded

@@ -1,11 +1,12 @@
 //! Quota/NUMA-aware placement scoring for the cluster controller.
 //!
-//! The controller recomputes the *desired* placement on every tick as a
-//! pure function of the alive membership and the sorted domain catalog,
-//! which is what makes cluster convergence provable: any two controllers
-//! seeing the same membership and catalog produce byte-identical desired
-//! state, so a recovered (or partitioned-and-healed) cluster always
-//! settles on the no-fault placement.
+//! The controller's *desired* placement is a pure function of the alive
+//! membership and the sorted domain catalog, which is what makes cluster
+//! convergence provable: any two controllers seeing the same membership
+//! and catalog produce byte-identical desired state, so a recovered (or
+//! partitioned-and-healed) cluster always settles on the no-fault
+//! placement. The controller memoizes the pass and reruns it in full
+//! whenever the catalog or the alive `(node, caps)` list changes.
 //!
 //! The score is fixed: a node past its VCPU or memory quota is vetoed,
 //! every other node scores `free·100 + numa_fit·50 − domains`, and the

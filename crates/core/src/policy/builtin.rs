@@ -8,8 +8,6 @@
 //! compares, byte-identical in trace output to the frozen originals in
 //! `iorch_bench::oracle::planes`.
 
-use std::collections::BTreeMap;
-
 use iorch_hypervisor::{DomainId, DOM0};
 use iorch_simcore::{SimDuration, SimTime};
 
@@ -246,18 +244,132 @@ impl Rule for CongestionAdjudicationRule {
 /// (`Q_i = BW_max · S^{VMi}_{SKT}`), and a proportional blkio weight,
 /// emitted as [`Action::Priority`] when the ratios moved more than the
 /// configured threshold or the periodic push interval elapsed.
+///
+/// # Change-driven evaluation
+///
+/// A domain's route is a pure function of its VCPU sockets (fixed at
+/// creation) and the per-socket I/O-core latencies, and the push test
+/// compares it with the domain's last pushed route. So a domain whose
+/// inputs did not move since its last evaluation would reach the same
+/// verdict again. The rule re-evaluates every live, unquarantined domain
+/// when the latency vector changed bit for bit, the push interval is due,
+/// or the rule was reset (boot, [`on_crash`](Rule::on_crash)); otherwise
+/// it evaluates only the domains created or un-quarantined since the
+/// previous tick. Quarantined domains are skipped either way and
+/// re-evaluated once their quarantine clears. The actions emitted are the
+/// ones an every-domain-every-tick evaluation would emit, in the same
+/// ascending-domain order.
 pub struct CoschedRule {
-    last_route_weights: BTreeMap<DomainId, Vec<f64>>,
+    /// Last pushed route per machine slot, tagged with its domain. Slots
+    /// are recycled and `DomainId`s are not, so an entry tagged with
+    /// another domain reads as "never pushed".
+    pushed: Vec<Option<(DomainId, Vec<f64>)>>,
     last_weight_push: SimTime,
+    /// Per-socket I/O-core latency (µs) at the previous evaluation.
+    lats: Vec<f64>,
+    /// Domains to evaluate at the next tick even if no shared input
+    /// moved: created or un-quarantined since the previous one.
+    pending: Vec<DomainId>,
+    /// Evaluate every domain at the next tick (set at boot and by
+    /// `on_crash`).
+    all: bool,
 }
 
 impl CoschedRule {
     /// New rule with no pushed history (first tick always pushes).
     pub fn new() -> Self {
         CoschedRule {
-            last_route_weights: BTreeMap::new(),
+            pushed: Vec::new(),
             last_weight_push: SimTime::ZERO,
+            lats: Vec::new(),
+            pending: Vec::new(),
+            all: true,
         }
+    }
+
+    /// Evaluate one domain and push its weights when its route moved past
+    /// the threshold since its last push, or when `interval_due`. Returns
+    /// whether it pushed.
+    fn evaluate(
+        &mut self,
+        ctx: &PolicyCtx<'_>,
+        dom: DomainId,
+        interval_due: bool,
+        out: &mut Vec<Action>,
+    ) -> bool {
+        if ctx.is_quarantined(dom) {
+            return false;
+        }
+        let m = ctx.machine();
+        let cfg = ctx.cfg();
+        let Some(d) = m.domain(dom) else {
+            return false;
+        };
+        // Process weight per socket: each VCPU carries weight 1 (the guest
+        // publishes per-process weights; with one I/O thread per VCPU they
+        // are uniform).
+        let vcpu_sockets: Vec<usize> = (0..d.spec.vcpus)
+            .map(|v| d.vcpu_socket(&m.topology, v))
+            .collect();
+        let vcpu_weights = vec![1.0; vcpu_sockets.len()];
+        let spanned: Vec<usize> = {
+            let mut v = vcpu_sockets.clone();
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        // Route weights: inverse-latency across the spanned sockets, scaled
+        // by where the VM's I/O processes actually live.
+        let lats: Vec<f64> = spanned
+            .iter()
+            .map(|&sk| self.lats.get(sk).copied().unwrap_or(1.0))
+            .collect();
+        let inv = inverse_latency_weights(&lats);
+        let total_w: f64 = vcpu_weights.iter().sum();
+        let mut route = vec![0.0; m.topology.sockets()];
+        for (j, sk) in spanned.iter().enumerate() {
+            let proc_w = socket_process_weight(&vcpu_weights, &vcpu_sockets, *sk);
+            route[*sk] = inv[j] * (proc_w / total_w).max(0.05);
+        }
+        let norm: f64 = route.iter().sum();
+        if norm > 0.0 {
+            for r in &mut route {
+                *r /= norm;
+            }
+        }
+        let slot = d.slot();
+        if slot >= self.pushed.len() {
+            self.pushed.resize_with(slot + 1, || None);
+        }
+        let stale = match &self.pushed[slot] {
+            Some((owner, prev)) if *owner == dom => {
+                ratio_changed(prev, &route, cfg.weight_change_threshold)
+            }
+            _ => true,
+        };
+        if !(stale || interval_due) {
+            return false;
+        }
+        self.pushed[slot] = Some((dom, route.clone()));
+        let vm_share = 1.0 / m.domain_count().max(1) as f64;
+        let device_bw = m.storage.device_bandwidth();
+        // Quanta per socket: Q_i = BW_max · S^{VMi}_{SKT}.
+        let quanta: Vec<(usize, u64)> = spanned
+            .iter()
+            .map(|sk| {
+                let w_skt = socket_process_weight(&vcpu_weights, &vcpu_sockets, *sk);
+                let share = socket_io_share(w_skt, total_w, vm_share);
+                (*sk, drr_quantum(device_bw, share, cfg.drr_round))
+            })
+            .collect();
+        out.push(Action::Priority {
+            dom,
+            route,
+            quanta,
+            // cgroup blkio weight at the device, proportional to VM share.
+            blkio_weight: ((vm_share * 1000.0) as u32).clamp(10, 1000),
+        });
+        true
     }
 }
 
@@ -278,94 +390,52 @@ impl Rule for CoschedRule {
             return;
         }
         let now = ctx.now();
-        let cfg = ctx.cfg();
-        // L_i per socket, in microseconds.
-        let mut lat_by_socket: BTreeMap<usize, f64> = BTreeMap::new();
+        // L_i per socket, in microseconds (1.0 for a socket without an I/O
+        // core; a later core on the same socket wins).
+        let mut lats = vec![1.0; m.topology.sockets()];
         for c in &m.iocores {
-            lat_by_socket.insert(c.socket(), c.avg_latency().as_micros_f64());
+            if let Some(l) = lats.get_mut(c.socket()) {
+                *l = c.avg_latency().as_micros_f64();
+            }
         }
-        let vm_share = 1.0 / m.domain_count().max(1) as f64;
-        let device_bw = m.storage.device_bandwidth();
-        let sockets = m.topology.sockets();
+        let moved = !lats
+            .iter()
+            .map(|l| l.to_bits())
+            .eq(self.lats.iter().map(|l| l.to_bits()));
+        self.lats = lats;
         let interval_due =
-            now.saturating_since(self.last_weight_push) >= cfg.weight_update_interval;
+            now.saturating_since(self.last_weight_push) >= ctx.cfg().weight_update_interval;
+        let mut pending = std::mem::take(&mut self.pending);
         let mut pushed = false;
-        for dom in m.domains() {
-            if ctx.is_quarantined(dom) {
-                continue;
+        if std::mem::take(&mut self.all) || moved || interval_due {
+            for dom in m.domains() {
+                pushed |= self.evaluate(ctx, dom, interval_due, out);
             }
-            let Some(d) = m.domain(dom) else { continue };
-            // Process weight per socket: each VCPU carries weight 1 (the
-            // guest publishes per-process weights; with one I/O thread per
-            // VCPU they are uniform).
-            let vcpu_sockets: Vec<usize> = (0..d.spec.vcpus)
-                .map(|v| d.vcpu_socket(&m.topology, v))
-                .collect();
-            let vcpu_weights = vec![1.0; vcpu_sockets.len()];
-            let spanned: Vec<usize> = {
-                let mut v = vcpu_sockets.clone();
-                v.sort_unstable();
-                v.dedup();
-                v
-            };
-            // Route weights: inverse-latency across the spanned sockets,
-            // scaled by where the VM's I/O processes actually live.
-            let lats: Vec<f64> = spanned
-                .iter()
-                .map(|sk| lat_by_socket.get(sk).copied().unwrap_or(1.0))
-                .collect();
-            let inv = inverse_latency_weights(&lats);
-            let total_w: f64 = vcpu_weights.iter().sum();
-            let mut route = vec![0.0; sockets];
-            for (j, sk) in spanned.iter().enumerate() {
-                let proc_w = socket_process_weight(&vcpu_weights, &vcpu_sockets, *sk);
-                route[*sk] = inv[j] * (proc_w / total_w).max(0.05);
+        } else {
+            pending.sort_unstable();
+            pending.dedup();
+            for &dom in &pending {
+                pushed |= self.evaluate(ctx, dom, false, out);
             }
-            let norm: f64 = route.iter().sum();
-            if norm > 0.0 {
-                for r in &mut route {
-                    *r /= norm;
-                }
-            }
-            let stale = self
-                .last_route_weights
-                .get(&dom)
-                .is_none_or(|prev| ratio_changed(prev, &route, cfg.weight_change_threshold));
-            if !(stale || interval_due) {
-                continue;
-            }
-            pushed = true;
-            self.last_route_weights.insert(dom, route.clone());
-            // Quanta per socket: Q_i = BW_max · S^{VMi}_{SKT}.
-            let quanta: Vec<(usize, u64)> = spanned
-                .iter()
-                .map(|sk| {
-                    let w_skt = socket_process_weight(&vcpu_weights, &vcpu_sockets, *sk);
-                    let share = socket_io_share(w_skt, total_w, vm_share);
-                    (*sk, drr_quantum(device_bw, share, cfg.drr_round))
-                })
-                .collect();
-            out.push(Action::Priority {
-                dom,
-                route,
-                quanta,
-                // cgroup blkio weight at the device, proportional to VM
-                // share.
-                blkio_weight: ((vm_share * 1000.0) as u32).clamp(10, 1000),
-            });
         }
+        pending.clear();
+        self.pending = pending;
         if pushed {
             self.last_weight_push = now;
         }
     }
 
-    fn on_domain_destroyed(&mut self, dom: DomainId) {
-        self.last_route_weights.remove(&dom);
+    fn on_domain_created(&mut self, dom: DomainId) {
+        self.pending.push(dom);
+    }
+
+    fn on_quarantine_cleared(&mut self, dom: DomainId) {
+        // The latencies may have moved while the domain was skipped.
+        self.pending.push(dom);
     }
 
     fn on_crash(&mut self) {
-        self.last_route_weights.clear();
-        self.last_weight_push = SimTime::ZERO;
+        *self = CoschedRule::new();
     }
 }
 

@@ -811,6 +811,7 @@ impl ControlPlane for PolicyEngine {
     }
 
     fn on_domain_created(&mut self, m: &mut Machine, _s: &mut Sched, dom: DomainId) {
+        Self::each_rule(&mut self.set, |r| r.on_domain_created(dom));
         if !self.collaborative {
             return;
         }

@@ -15,8 +15,8 @@
 //! * **Rules decide.** A [`Rule`] reads monitor and trace signals through
 //!   a read-only [`PolicyCtx`] and emits [`Action`]s. Rules own their own
 //!   decision state (rate windows, last pushed weights, …) and are
-//!   notified of lifecycle events (crash, domain destruction, quarantine
-//!   clears).
+//!   notified of lifecycle events (crash, domain creation and
+//!   destruction, quarantine clears).
 //! * **The engine enforces.** The [`PolicyEngine`] owns every mechanism
 //!   the PR 5 robustness work introduced — epoch-stamped command issue,
 //!   persisted recovery state, quarantine bookkeeping, ack deadlines,
@@ -368,6 +368,12 @@ pub trait Rule: 'static {
     fn adjudicate(&mut self, ctx: &PolicyCtx<'_>, dom: DomainId) -> Option<Verdict> {
         let _ = (ctx, dom);
         None
+    }
+
+    /// A domain was created (or, for a plane installed late, already
+    /// existed): note it for the next evaluation.
+    fn on_domain_created(&mut self, dom: DomainId) {
+        let _ = dom;
     }
 
     /// A domain was destroyed: drop any per-domain state.

@@ -137,14 +137,14 @@ impl<M: Clone> MsgBus<M> {
                 return SendOutcome::DroppedLoss;
             }
         }
+        let dup = fault.is_some_and(|f| f.dup_1_in != 0 && self.seq.is_multiple_of(f.dup_1_in));
+        let copy = dup.then(|| msg.clone());
         self.enq += 1;
-        self.pending.insert((deliver, self.enq), (dst, msg.clone()));
-        if let Some(f) = fault {
-            if f.dup_1_in != 0 && self.seq.is_multiple_of(f.dup_1_in) {
-                self.enq += 1;
-                self.pending.insert((deliver, self.enq), (dst, msg));
-                self.stats.duplicated += 1;
-            }
+        self.pending.insert((deliver, self.enq), (dst, msg));
+        if let Some(copy) = copy {
+            self.enq += 1;
+            self.pending.insert((deliver, self.enq), (dst, copy));
+            self.stats.duplicated += 1;
         }
         SendOutcome::Sent(deliver)
     }

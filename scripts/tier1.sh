@@ -73,6 +73,13 @@ cargo test -q --offline -p iorch-bench --release --test experiment_determinism -
 # heavy sweep is #[ignore]d in debug).
 cargo test -q --offline -p iorch-guestos --release --test pagecache_model -- --include-ignored
 
+# Control-tick differential oracles: the memoized, merge-joined cluster
+# controller must send the same message stream as a naive reference and
+# serve desired() equal to a fresh placement pass; the change-driven
+# co-scheduling rule must push exactly what an every-domain-every-tick
+# reference pushes (heavy sweeps #[ignore]d in debug).
+cargo test -q --offline -p iorchestra --release --test controller_model --test cosched_model -- --include-ignored
+
 # Timer-wheel differential oracle: the wheel scheduler must fire the
 # exact same events in the exact same order as the frozen binary-heap
 # engine, across randomized op scripts (run in release for seed volume).
