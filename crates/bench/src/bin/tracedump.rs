@@ -2,10 +2,14 @@
 //! event timeline.
 //!
 //! ```text
-//! tracedump [--system baseline|sdc|dif|iorchestra] [--seed N]
+//! tracedump [--system NAME] [--seed N]
 //!           [--scenario NAME] [--format timeline|decisions|chrome]
 //!           [--list]
 //! ```
+//!
+//! `--system` takes any of the compared control-plane variants:
+//! `baseline`, `sdc`, `dif`, `flush_only`, `congestion_only`,
+//! `cosched_only` or `iorchestra` (the default).
 //!
 //! The output is a pure function of `(system, seed, scenario)`: two runs
 //! with the same arguments produce byte-identical dumps. `--format
@@ -21,8 +25,9 @@ use iorchestra::SystemKind;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: tracedump [--system baseline|sdc|dif|iorchestra] [--seed N] \
-         [--scenario NAME] [--format timeline|decisions|chrome] [--list]"
+        "usage: tracedump [--system baseline|sdc|dif|flush_only|congestion_only|\
+         cosched_only|iorchestra] [--seed N] [--scenario NAME] \
+         [--format timeline|decisions|chrome] [--list]"
     );
     ExitCode::FAILURE
 }

@@ -8,13 +8,13 @@
 //! ([`ClusterTier::steady_digest`]) is byte-identical to the no-fault
 //! run's, yielding a *measured convergence time* per `(nodes, fault)`
 //! cell. The run gates on every cell converging within the horizon with
-//! zero duplicated ownership, and emits `BENCH_cluster.json` at the repo
-//! root through the shared schema-validated emitter
-//! ([`gate::write_root_artifact`]).
+//! zero duplicated ownership.
 //!
 //! Everything here is simulated virtual time (`timing: false`), so the
 //! artifact is byte-deterministic per `(profile, seed)` and swept by the
-//! golden byte-identity gates like any other experiment.
+//! golden byte-identity gates like any other experiment; its seed-42
+//! smoke `cluster/cluster.json` is pinned by the committed artifact
+//! fingerprints.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -24,7 +24,7 @@ use iorch_simcore::{FaultKind, FaultPlan, FaultWindow, SimDuration, SimTime, Sim
 use iorchestra::cluster::ClusterTier;
 use iorchestra::{ClusterConfig, SystemKind};
 
-use super::{gate, Ctx, Figure};
+use super::{Ctx, Figure};
 
 /// A provisioned fleet under the control tier.
 struct Fleet {
@@ -184,13 +184,5 @@ pub(crate) fn run_cluster(ctx: &Ctx) -> Vec<Figure> {
             );
         }
     }
-    let path = gate::write_root_artifact(
-        "BENCH_cluster.json",
-        &f,
-        ctx.spec.name,
-        ctx.profile.name(),
-        ctx.seed,
-    );
-    println!("wrote {}", path.display());
     vec![f]
 }

@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use iorch_hypervisor::{Cluster, IoPathMode, MachineConfig, VmSpec};
+use iorch_hypervisor::{Cluster, IoPathMode, MachineConfig, Sched, VmSpec};
 use iorch_metrics::{
     cdf_at_fractions, latency_improvement_pct, normalized, standard_grid,
     throughput_improvement_pct, LatencyHistogram,
@@ -25,6 +25,7 @@ use crate::runner::{
     arrivals_run, bursty_run, congestion_run, cosched_run, fig4_run, flush_run, motivation_run,
     scaleout_run, FbKind, Fig4Out, RunCfg, ScaleApp,
 };
+use crate::tracereplay::VARIANTS;
 
 const HEADLINE: &[&str] = &["Baseline", "SDC", "DIF", "IOrchestra"];
 
@@ -565,13 +566,17 @@ fn run_fig12(ctx: &Ctx) -> Vec<Figure> {
 // Ablations (DESIGN.md §5)
 // ====================================================================
 
-/// Run the bursty-writes scenario under an arbitrary policy set — the
-/// named-set sweep runs every plane the engine knows through here.
-fn bursty_with_set(set: PolicySet, mode: IoPathMode, rate: f64, cfg: RunCfg) -> (f64, u64) {
+/// Run the bursty-writes scenario on the machine `install` adds (and
+/// returns the index of) — the named-set sweep runs every compared plane
+/// variant through here.
+fn bursty_on(
+    install: impl FnOnce(&mut Cluster, &mut Sched) -> usize,
+    rate: f64,
+    cfg: RunCfg,
+) -> (f64, u64) {
     let mut sim = Simulation::new(Cluster::new());
     let (cl, s) = sim.parts_mut();
-    let idx = cl.add_machine(MachineConfig::paper_testbed(cfg.seed, mode));
-    cl.install_control(s, idx, Box::new(PolicyEngine::new(set)));
+    let idx = install(cl, s);
     let wb = |g: &mut iorch_guestos::GuestConfig| {
         g.wb.periodic_interval = SimDuration::from_millis(1000);
         g.wb.dirty_expire = SimDuration::from_millis(3000);
@@ -610,12 +615,14 @@ fn bursty_with_cfg(
     rate: f64,
     cfg: RunCfg,
 ) -> (f64, u64) {
-    bursty_with_set(
-        PolicySet::iorchestra(mk(IOrchestraConfig::new(cfg.seed))),
-        IoPathMode::DedicatedCores { per_socket: true },
-        rate,
-        cfg,
-    )
+    let set = PolicySet::iorchestra(mk(IOrchestraConfig::new(cfg.seed)));
+    let install = |cl: &mut Cluster, s: &mut Sched| {
+        let mode = IoPathMode::DedicatedCores { per_socket: true };
+        let idx = cl.add_machine(MachineConfig::paper_testbed(cfg.seed, mode));
+        cl.install_control(s, idx, Box::new(PolicyEngine::new(set)));
+        idx
+    };
+    bursty_on(install, rate, cfg)
 }
 
 /// Fig. 10a-style cosched run with a tweaked plane (weight-update and DRR
@@ -659,9 +666,8 @@ fn run_ablation(ctx: &Ctx) -> Vec<Figure> {
     let rate = 600.0;
     let mut out = Vec::new();
 
-    // Ablation 0: every named policy set on one engine. This is the only
-    // figure the smoke profile (and `IORCH_ABLATION=named`) runs — the
-    // tier-1 sweep pays for the set coverage, not the parameter grids.
+    // Ablation 0: every compared plane variant on one engine. This is the
+    // only figure the smoke profile runs.
     let mut t0 = Figure::new(
         "ablation_named",
         "Ablation — named policy sets (YCSB1 bursty p99.9, us)",
@@ -669,28 +675,14 @@ fn run_ablation(ctx: &Ctx) -> Vec<Figure> {
         "us",
         cols(&["p99.9 (us)"]),
     );
-    for name in [
-        "baseline",
-        "sdc",
-        "dif",
-        "flush_only",
-        "congestion_only",
-        "cosched_only",
-        "iorchestra",
-    ] {
-        let set = PolicySet::named(name, ctx.seed).expect("known policy set");
-        let mode = match name {
-            "sdc" => IoPathMode::DedicatedCores { per_socket: false },
-            "cosched_only" | "iorchestra" => IoPathMode::DedicatedCores { per_socket: true },
-            _ => IoPathMode::Paravirt,
-        };
-        let (v, ops) = bursty_with_set(set, mode, rate, ctx.cfg());
+    let cfg = ctx.cfg();
+    for &(name, kind) in VARIANTS {
+        let (v, ops) = bursty_on(|cl, s| kind.provision(cl, s, cfg.seed), rate, cfg);
         t0.row(name, vec![v]);
         t0.samples += ops;
     }
     out.push(t0);
-    let named_only = ctx.is_smoke() || std::env::var("IORCH_ABLATION").as_deref() == Ok("named");
-    if named_only {
+    if ctx.is_smoke() {
         return out;
     }
 
@@ -1112,8 +1104,8 @@ pub static REGISTRY: &[Spec] = &[
         },
         slo: None,
         timing: false,
-        notes: "smoke (and IORCH_ABLATION=named) runs only the named-set sweep; the \
-                parameter ablations need the full profile.",
+        notes: "smoke runs only the named-set sweep; the parameter ablations need the \
+                full profile.",
         run: run_ablation,
     },
     Spec {
@@ -1195,8 +1187,7 @@ pub static REGISTRY: &[Spec] = &[
         notes: "axis = node counts, axis2 = [domains per node]; each cell injects a \
                 node crash, a lossy partition and a controller crash, measures the \
                 time until the steady-state digest is byte-identical to the no-fault \
-                run's, and gates on convergence with zero duplicated ownership. \
-                Emits BENCH_cluster.json.",
+                run's, and gates on convergence with zero duplicated ownership.",
         run: crate::exp::cluster::run_cluster,
     },
 ];

@@ -12,6 +12,7 @@
 //! engines the differential tests and the `hotpath` gate compare against.
 
 pub mod exp;
+pub mod fingerprint;
 pub mod oracle;
 pub mod runner;
 pub mod timing;

@@ -4,10 +4,6 @@
 //! rewritten, kept verbatim so the tests in `crates/bench/tests/` and the
 //! `hotpath` gate can compare the live code against it:
 //!
-//! - [`planes`]: the pre-redesign hand-fused Baseline/SDC/DIF/IOrchestra
-//!   control planes (Algorithms 1–3), pinned byte-identical to their
-//!   [`PolicySet`](iorchestra::PolicySet) expressions by
-//!   `tests/policy_equivalence.rs`;
 //! - [`scheduler`]: the binary-heap event scheduler that the timer wheel
 //!   ([`iorch_simcore::Scheduler`]) replaced, pinned by
 //!   `tests/scheduler_differential.rs`;
@@ -17,7 +13,13 @@
 //!
 //! Nothing in a production crate provisions or calls these. Do not "fix"
 //! or optimize them; their value is that they do not change.
+//!
+//! Both are compared on seed-swept random op scripts whose outputs cannot
+//! be enumerated, so they stay as live engines. The pre-redesign control
+//! planes, by contrast, were only ever compared on the fixed tracedump
+//! cells, so their full output there is recorded instead, as committed
+//! fingerprints (`tests/fingerprints/traces.txt`, see
+//! [`fingerprint`](crate::fingerprint)).
 
-pub mod planes;
 pub mod scheduler;
 pub mod store;

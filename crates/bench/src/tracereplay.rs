@@ -18,7 +18,7 @@ use iorch_simcore::trace::{TraceEvent, TraceSession};
 use iorch_simcore::{FaultKind, FaultPlan, FaultWindow, SimDuration, SimTime, Simulation};
 use iorch_workloads::{recorder, spawn_multistream, MultiStreamParams, Rec, VmRef};
 use iorchestra::cluster::ClusterTier;
-use iorchestra::{ClusterConfig, SystemKind};
+use iorchestra::{ClusterConfig, FunctionSet, SystemKind};
 
 /// Named scenarios: `(name, one-line description)`.
 pub const SCENARIOS: &[(&str, &str)] = &[
@@ -56,23 +56,35 @@ pub const SCENARIOS: &[(&str, &str)] = &[
     ),
 ];
 
-/// Installs a machine (and its control plane) into the cluster and
-/// returns the machine index. Scenarios are written against this seam so
-/// the same workload can run under a [`SystemKind`] *or* an arbitrary
-/// boxed control plane — the policy-equivalence oracle uses it to replay
-/// every scenario under both the legacy hand-fused planes and the policy
-/// engine and compare the traces byte for byte.
-pub type Provision<'a> = &'a mut dyn FnMut(&mut Cluster, &mut Sched) -> usize;
+/// Every control-plane variant the suite compares — the paper's four
+/// systems and IOrchestra's three single-function ablations — under the
+/// stable labels the trace fingerprints and the ablation sweep key on.
+pub const VARIANTS: &[(&str, SystemKind)] = &[
+    ("baseline", SystemKind::Baseline),
+    ("sdc", SystemKind::Sdc),
+    ("dif", SystemKind::Dif),
+    (
+        "flush_only",
+        SystemKind::IOrchestraWith(FunctionSet::flush_only()),
+    ),
+    (
+        "congestion_only",
+        SystemKind::IOrchestraWith(FunctionSet::congestion_only()),
+    ),
+    (
+        "cosched_only",
+        SystemKind::IOrchestraWith(FunctionSet::cosched_only()),
+    ),
+    ("iorchestra", SystemKind::IOrchestra),
+];
 
-/// Parse a system name as accepted by the `tracedump` CLI.
+/// Parse a system name as accepted by the `tracedump` CLI: any
+/// [`VARIANTS`] label.
 pub fn parse_system(name: &str) -> Option<SystemKind> {
-    Some(match name {
-        "baseline" => SystemKind::Baseline,
-        "sdc" => SystemKind::Sdc,
-        "dif" => SystemKind::Dif,
-        "iorchestra" => SystemKind::IOrchestra,
-        _ => return None,
-    })
+    VARIANTS
+        .iter()
+        .find(|(label, _)| *label == name)
+        .map(|&(_, kind)| kind)
 }
 
 /// Run `scenario` under a trace recorder and return the recorded events.
@@ -80,15 +92,8 @@ pub fn parse_system(name: &str) -> Option<SystemKind> {
 /// out (`--cfg iorch_trace_off`) the scenario still runs but the event
 /// list is empty.
 pub fn run_scenario(kind: SystemKind, seed: u64, scenario: &str) -> Option<Vec<TraceEvent>> {
-    run_scenario_with(&mut |cl, s| kind.provision(cl, s, seed), seed, scenario)
-}
-
-/// [`run_scenario`] with an explicit provisioner: the scenario runs on
-/// whatever machine/control-plane combination `prov` installs. `seed`
-/// still drives the workload generators.
-pub fn run_scenario_with(prov: Provision, seed: u64, scenario: &str) -> Option<Vec<TraceEvent>> {
     let session = TraceSession::new();
-    let known = run_scenario_sim_with(prov, seed, scenario, FaultPlan::new());
+    let known = run_scenario_sim(kind, seed, scenario, FaultPlan::new());
     let rec = session.finish();
     known.map(|_| rec.into_events())
 }
@@ -105,30 +110,15 @@ pub fn run_scenario_sim(
     scenario: &str,
     extra: FaultPlan,
 ) -> Option<(Simulation<Cluster>, usize)> {
-    run_scenario_sim_with(
-        &mut |cl, s| kind.provision(cl, s, seed),
-        seed,
-        scenario,
-        extra,
-    )
-}
-
-/// [`run_scenario_sim`] with an explicit provisioner (see [`Provision`]).
-pub fn run_scenario_sim_with(
-    prov: Provision,
-    seed: u64,
-    scenario: &str,
-    extra: FaultPlan,
-) -> Option<(Simulation<Cluster>, usize)> {
     Some(match scenario {
-        "mixed8" => mixed8(prov, seed, extra),
-        "unresponsive_flush" => unresponsive_flush(prov, seed, extra),
-        "store_hammer" => store_hammer(prov, seed, extra),
-        "device_stall" => device_stall(prov, seed, extra),
-        "plane_crash" => plane_crash(prov, seed, extra),
-        "lossy_bus" => lossy_bus(prov, seed, extra),
+        "mixed8" => mixed8(kind, seed, extra),
+        "unresponsive_flush" => unresponsive_flush(kind, seed, extra),
+        "store_hammer" => store_hammer(kind, seed, extra),
+        "device_stall" => device_stall(kind, seed, extra),
+        "plane_crash" => plane_crash(kind, seed, extra),
+        "lossy_bus" => lossy_bus(kind, seed, extra),
         "node_crash" | "net_partition" => {
-            let (sim, _tier, idx) = run_cluster_scenario(prov, seed, scenario, extra)?;
+            let (sim, _tier, idx) = run_cluster_scenario(kind, seed, scenario, extra)?;
             (sim, idx)
         }
         _ => return None,
@@ -143,7 +133,7 @@ pub fn run_scenario_sim_with(
 /// that are not cluster-tier ones.
 #[allow(clippy::type_complexity)]
 pub fn run_cluster_scenario(
-    prov: Provision,
+    kind: SystemKind,
     seed: u64,
     scenario: &str,
     extra: FaultPlan,
@@ -187,11 +177,9 @@ pub fn run_cluster_scenario(
             ),
         _ => return None,
     };
-    let (mut sim, idx) = sim_with(prov);
+    let (mut sim, idx) = sim_with(kind, seed);
     let (cl, s) = sim.parts_mut();
-    // Two more IOrchestra nodes alongside the provisioned machine: the
-    // provisioner seam stays single-shot so the policy-equivalence oracle
-    // can still swap machine 0's plane.
+    // Two more IOrchestra nodes alongside the `kind` machine.
     let m1 = SystemKind::IOrchestra.provision(cl, s, seed ^ 1);
     let m2 = SystemKind::IOrchestra.provision(cl, s, seed ^ 2);
     let tier = ClusterTier::install(cl, s, &[idx, m1, m2], ClusterConfig::default());
@@ -207,10 +195,10 @@ pub fn run_cluster_scenario(
     Some((sim, tier, idx))
 }
 
-fn sim_with(prov: Provision) -> (Simulation<Cluster>, usize) {
+fn sim_with(kind: SystemKind, seed: u64) -> (Simulation<Cluster>, usize) {
     let mut sim = Simulation::new(Cluster::new());
     let (cl, s) = sim.parts_mut();
-    let idx = prov(cl, s);
+    let idx = kind.provision(cl, s, seed);
     (sim, idx)
 }
 
@@ -270,8 +258,8 @@ fn greedy_reader(cl: &mut Cluster, s: &mut Sched, idx: usize, seed: u64, rec: &R
 /// release / confirm decisions), three slow-writeback dirty writers
 /// (collaborative flush decisions), one store hammer (quarantine), and
 /// one light reader for background traffic.
-fn mixed8(prov: Provision, seed: u64, extra: FaultPlan) -> (Simulation<Cluster>, usize) {
-    let (mut sim, idx) = sim_with(prov);
+fn mixed8(kind: SystemKind, seed: u64, extra: FaultPlan) -> (Simulation<Cluster>, usize) {
+    let (mut sim, idx) = sim_with(kind, seed);
     let (cl, s) = sim.parts_mut();
     let rec = recorder(SimTime::ZERO);
     for v in 0..3u64 {
@@ -321,11 +309,11 @@ fn mixed8(prov: Provision, seed: u64, extra: FaultPlan) -> (Simulation<Cluster>,
 
 /// Mirror of `unresponsive_guest_flush_falls_back_and_quarantines`.
 fn unresponsive_flush(
-    prov: Provision,
-    _seed: u64,
+    kind: SystemKind,
+    seed: u64,
     extra: FaultPlan,
 ) -> (Simulation<Cluster>, usize) {
-    let (mut sim, idx) = sim_with(prov);
+    let (mut sim, idx) = sim_with(kind, seed);
     let (cl, s) = sim.parts_mut();
     let slacker = cl.create_domain(s, idx, VmSpec::new(1, 2).with_disk_gb(8), slow_wb);
     let _healthy = cl.create_domain(s, idx, VmSpec::new(1, 2).with_disk_gb(8), slow_wb);
@@ -343,8 +331,8 @@ fn unresponsive_flush(
 
 /// Mirror of `store_hammer_is_quarantined_and_operator_clear_restores`
 /// (without the operator clear — the quarantine decision is the point).
-fn store_hammer(prov: Provision, seed: u64, extra: FaultPlan) -> (Simulation<Cluster>, usize) {
-    let (mut sim, idx) = sim_with(prov);
+fn store_hammer(kind: SystemKind, seed: u64, extra: FaultPlan) -> (Simulation<Cluster>, usize) {
+    let (mut sim, idx) = sim_with(kind, seed);
     let (cl, s) = sim.parts_mut();
     let evil = cl.create_domain(s, idx, VmSpec::new(1, 1).with_disk_gb(8), |_| {});
     let good = cl.create_domain(s, idx, VmSpec::new(2, 2).with_disk_gb(8), |_| {});
@@ -379,8 +367,8 @@ fn store_hammer(prov: Provision, seed: u64, extra: FaultPlan) -> (Simulation<Clu
 }
 
 /// Mirror of `device_stall_is_survived`.
-fn device_stall(prov: Provision, seed: u64, extra: FaultPlan) -> (Simulation<Cluster>, usize) {
-    let (mut sim, idx) = sim_with(prov);
+fn device_stall(kind: SystemKind, seed: u64, extra: FaultPlan) -> (Simulation<Cluster>, usize) {
+    let (mut sim, idx) = sim_with(kind, seed);
     let (cl, s) = sim.parts_mut();
     let dom = cl.create_domain(s, idx, VmSpec::new(2, 4).with_disk_gb(20), |_| {});
     let rec = recorder(SimTime::ZERO);
@@ -411,8 +399,8 @@ fn device_stall(prov: Provision, seed: u64, extra: FaultPlan) -> (Simulation<Clu
 /// earned its quarantine — and recovers 400 ms later: the quarantine set,
 /// health counters and any in-flight flush must be rebuilt from the store
 /// (`plane_crash` / `plane_recover` decisions bracket the outage).
-fn plane_crash(prov: Provision, seed: u64, extra: FaultPlan) -> (Simulation<Cluster>, usize) {
-    let (mut sim, idx) = sim_with(prov);
+fn plane_crash(kind: SystemKind, seed: u64, extra: FaultPlan) -> (Simulation<Cluster>, usize) {
+    let (mut sim, idx) = sim_with(kind, seed);
     let (cl, s) = sim.parts_mut();
     let rec = recorder(SimTime::ZERO);
     greedy_reader(cl, s, idx, seed, &rec);
@@ -453,8 +441,8 @@ fn plane_crash(prov: Provision, seed: u64, extra: FaultPlan) -> (Simulation<Clus
 /// batch: dropped `flush_now` commands retry through the timeout path, and
 /// duplicated commands are discarded by the guests' epoch cursors
 /// (`stale_command` decisions in the dump).
-fn lossy_bus(prov: Provision, seed: u64, extra: FaultPlan) -> (Simulation<Cluster>, usize) {
-    let (mut sim, idx) = sim_with(prov);
+fn lossy_bus(kind: SystemKind, seed: u64, extra: FaultPlan) -> (Simulation<Cluster>, usize) {
+    let (mut sim, idx) = sim_with(kind, seed);
     let (cl, s) = sim.parts_mut();
     let rec = recorder(SimTime::ZERO);
     greedy_reader(cl, s, idx, seed, &rec);

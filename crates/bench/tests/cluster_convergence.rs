@@ -12,20 +12,14 @@
 //! [`ClusterTier::steady_digest`]: iorchestra::ClusterTier::steady_digest
 
 use iorch_bench::tracereplay::run_cluster_scenario;
-use iorch_hypervisor::{Cluster, Sched};
 use iorch_simcore::{FaultKind, FaultPlan, FaultWindow, SimDuration, SimTime};
 use iorchestra::SystemKind;
 
 /// Run `scenario` with `extra` layered on the tier and return the
 /// steady-state digest plus any ownership violations.
 fn digest_of(seed: u64, scenario: &str, extra: FaultPlan) -> (String, Vec<String>) {
-    let (mut sim, tier, _idx) = run_cluster_scenario(
-        &mut |cl: &mut Cluster, s: &mut Sched| SystemKind::IOrchestra.provision(cl, s, seed),
-        seed,
-        scenario,
-        extra,
-    )
-    .expect("known cluster scenario");
+    let (mut sim, tier, _idx) = run_cluster_scenario(SystemKind::IOrchestra, seed, scenario, extra)
+        .expect("known cluster scenario");
     let (cl, _s) = sim.parts_mut();
     let t = tier.borrow();
     (t.steady_digest(cl), t.ownership_violations(cl))

@@ -2,12 +2,15 @@
 //! runner (DESIGN.md §12).
 //!
 //! Every named experiment at its smoke profile must emit byte-identical
-//! artifact JSON/CSV across two runs, seed-swept over {7, 42, 1337} —
-//! the determinism contract every future scale/policy PR gates on. A
-//! cheap subset runs in the debug suite; the exhaustive sweep is
-//! `#[ignore]`d here and run in release by `tier1.sh`. The suite also
-//! enforces the live-telemetry non-interference contract: installing a
-//! trace tap must not change a single trace event.
+//! artifact JSON/CSV across two runs, seed-swept over {7, 42, 1337}. At
+//! seed 42 the artifacts must also match the committed fingerprints in
+//! `tests/fingerprints/smoke_seed42.txt` (the output of `experiments run
+//! all --profile smoke --seed 42`), so behaviour is pinned across
+//! changes, not only between two runs of one build. A cheap subset runs
+//! in the debug suite; the exhaustive sweep is `#[ignore]`d here and run
+//! in release by `tier1.sh`. The suite also enforces the live-telemetry
+//! non-interference contract: installing a trace tap must not change a
+//! single trace event.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -15,6 +18,7 @@ use std::path::Path;
 use std::rc::Rc;
 
 use iorch_bench::exp::{self, Profile};
+use iorch_bench::fingerprint::{self, Table};
 use iorch_bench::tracereplay::run_scenario;
 use iorch_bench::RunCfg;
 use iorch_simcore::trace::{self, TapSession};
@@ -39,6 +43,8 @@ fn snapshot(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     out
 }
 
+const SMOKE_SEED42: &str = include_str!("fingerprints/smoke_seed42.txt");
+
 fn tmp(name: &str) -> std::path::PathBuf {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
     if dir.exists() {
@@ -48,9 +54,10 @@ fn tmp(name: &str) -> std::path::PathBuf {
 }
 
 /// Run `name` twice at the smoke profile under `seed`; assert the
-/// artifact trees are byte-identical, schema-valid, and non-trivial.
-/// `prefix` names the calling test, so tests running in parallel never
-/// share (and race on) a directory.
+/// artifact trees are byte-identical, schema-valid, and non-trivial, and
+/// at seed 42 that they match the committed fingerprints. `prefix` names
+/// the calling test, so tests running in parallel never share (and race
+/// on) a directory.
 fn assert_golden(prefix: &str, name: &str, seed: u64) {
     let spec = exp::find(name).unwrap_or_else(|| panic!("unknown experiment {name}"));
     let d1 = tmp(&format!("{prefix}_{name}_{seed}_a"));
@@ -80,14 +87,34 @@ fn assert_golden(prefix: &str, name: &str, seed: u64) {
                 .unwrap_or_else(|e| panic!("{name}@{seed}: {rel} fails schema: {e}"));
         }
     }
+    // The telemetry family is fed by the trace tap, which
+    // `--cfg iorch_trace_off` compiles out: its rows are the only ones that
+    // differ in that build, so only they are skipped there.
+    if seed == 42 && (trace::COMPILED || name != "telemetry") {
+        let mut actual = Table::new();
+        for (rel, bytes) in &s1 {
+            actual.insert(rel.as_str(), &[bytes]);
+        }
+        let scope = format!("{name}/");
+        fingerprint::check(
+            "smoke_seed42.txt",
+            SMOKE_SEED42,
+            &actual,
+            |k| k.starts_with(&scope),
+            &Path::new(env!("CARGO_TARGET_TMPDIR")).join("fingerprints"),
+        );
+    }
 }
 
-/// Debug-suite subset: the cheapest families, one seed. The exhaustive
-/// seed-swept sweep below is release-gated via tier1.sh.
+/// Debug-suite subset: the cheapest families, at seed 7 and at the
+/// fingerprinted seed 42. The exhaustive seed-swept sweep below is
+/// release-gated via tier1.sh.
 #[test]
 fn smoke_goldens_subset() {
     for name in ["motivation", "fig9", "telemetry"] {
-        assert_golden("golden_subset", name, 7);
+        for seed in [7, 42] {
+            assert_golden("golden_subset", name, seed);
+        }
     }
 }
 
@@ -105,6 +132,20 @@ fn smoke_goldens_all_experiments_seed_swept() {
         for seed in [7u64, 42, 1337] {
             assert_golden("golden_sweep", spec.name, seed);
         }
+    }
+    // Each run above checks its own experiment's rows; a table row of an
+    // experiment that no longer runs must fail too.
+    let swept: Vec<&str> = exp::registry()
+        .iter()
+        .filter(|s| !s.timing)
+        .map(|s| s.name)
+        .collect();
+    for line in SMOKE_SEED42.lines().filter(|l| !l.starts_with('#')) {
+        let experiment = line.split('/').next().unwrap_or_default();
+        assert!(
+            swept.contains(&experiment),
+            "smoke_seed42.txt row for unknown experiment {experiment:?}: {line}"
+        );
     }
 }
 

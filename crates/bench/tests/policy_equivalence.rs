@@ -1,124 +1,55 @@
 //! Policy-redesign byte-identity oracle: every control plane the paper
-//! compares, re-expressed as a [`PolicySet`] on the [`PolicyEngine`],
-//! must reproduce the pre-redesign hand-fused plane's trace **byte for
-//! byte** — same timeline, same decision log — across all tracedump
-//! scenarios. The frozen pre-redesign planes live in `iorch_bench::oracle`
-//! and exist only so this file can diff against them.
+//! compares, expressed as a [`PolicySet`](iorchestra::PolicySet) on the
+//! [`PolicyEngine`](iorchestra::PolicyEngine), must reproduce the trace of
+//! the pre-redesign hand-fused plane it replaced — same timeline, same
+//! decision log — on every tracedump scenario.
+//!
+//! The hand-fused planes are gone; their output on all 7 variants × 8
+//! scenarios × seeds {7, 42, 1337} is recorded in
+//! `tests/fingerprints/traces.txt` (see [`iorch_bench::fingerprint`]), so
+//! each cell here replays the scenario through [`run_scenario`] — the
+//! `tracedump` path — and compares fingerprints. On a mismatch the full
+//! recomputed table is written under `$CARGO_TARGET_TMPDIR/fingerprints/`.
 
-use iorch_bench::oracle::planes::{LegacyBaselinePlane, LegacyDifPlane, LegacyIOrchestraPlane};
-use iorch_bench::tracereplay::{run_scenario_with, SCENARIOS};
-use iorch_hypervisor::{Cluster, ControlPlane, IoPathMode, MachineConfig, Sched};
+use std::path::Path;
+
+use iorch_bench::fingerprint::{self, Table};
+use iorch_bench::tracereplay::{parse_system, run_scenario, SCENARIOS, VARIANTS};
 use iorch_simcore::trace;
-use iorchestra::{FunctionSet, IOrchestraConfig, PolicyEngine, PolicySet};
 
-/// Every plane variant under test: the paper's full system, its three
-/// single-function ablations, and the comparison systems.
-const VARIANTS: &[&str] = &[
-    "full",
-    "flush_only",
-    "congestion_only",
-    "cosched_only",
-    "baseline",
-    "sdc",
-    "dif",
-];
+const TRACES: &str = include_str!("fingerprints/traces.txt");
+const SEEDS: [u64; 3] = [7, 42, 1337];
 
-/// I/O path a variant pairs with (mirrors `SystemKind::io_mode`).
-fn io_mode(variant: &str) -> IoPathMode {
-    match variant {
-        "baseline" | "dif" | "flush_only" | "congestion_only" => IoPathMode::Paravirt,
-        "sdc" => IoPathMode::DedicatedCores { per_socket: false },
-        "full" | "cosched_only" => IoPathMode::DedicatedCores { per_socket: true },
-        _ => unreachable!("unknown variant {variant}"),
+/// Replay each `(variant, scenario, seed)` cell and fingerprint its
+/// `(timeline, decision log)` under the key `<variant>/<scenario>/<seed>`.
+fn replay(cells: &[(&str, &str, u64)]) -> Table {
+    let mut t = Table::new();
+    for &(variant, scenario, seed) in cells {
+        let kind = parse_system(variant).expect("known variant");
+        let events = run_scenario(kind, seed, scenario).expect("known scenario");
+        t.insert(
+            format!("{variant}/{scenario}/{seed}"),
+            &[
+                trace::render_timeline(&events).as_bytes(),
+                trace::render_decision_log(&events).as_bytes(),
+            ],
+        );
     }
+    t
 }
 
-fn functions(variant: &str) -> FunctionSet {
-    match variant {
-        "full" => FunctionSet::all(),
-        "flush_only" => FunctionSet::flush_only(),
-        "congestion_only" => FunctionSet::congestion_only(),
-        "cosched_only" => FunctionSet::cosched_only(),
-        _ => unreachable!("{variant} is not an iorchestra variant"),
-    }
-}
-
-/// The frozen pre-redesign plane for a variant.
-fn legacy_plane(variant: &str, seed: u64) -> Box<dyn ControlPlane> {
-    match variant {
-        "baseline" => Box::new(LegacyBaselinePlane::baseline()),
-        "sdc" => Box::new(LegacyBaselinePlane::sdc()),
-        "dif" => Box::new(LegacyDifPlane::new()),
-        v => Box::new(LegacyIOrchestraPlane::new(
-            IOrchestraConfig::new(seed).with_functions(functions(v)),
-        )),
-    }
-}
-
-/// The same plane expressed as a policy set on the engine.
-fn engine_plane(variant: &str, seed: u64) -> Box<dyn ControlPlane> {
-    let set = match variant {
-        "baseline" => PolicySet::baseline(),
-        "sdc" => PolicySet::sdc(),
-        "dif" => PolicySet::dif(),
-        v => PolicySet::iorchestra(IOrchestraConfig::new(seed).with_functions(functions(v))),
-    };
-    Box::new(PolicyEngine::new(set))
-}
-
-/// Run `scenario` under `plane` and return `(timeline, decision log)`.
-fn replay(
-    plane: Box<dyn ControlPlane>,
-    mode: IoPathMode,
-    seed: u64,
-    scenario: &str,
-) -> (String, String) {
-    let mut plane = Some(plane);
-    let events = run_scenario_with(
-        &mut |cl: &mut Cluster, s: &mut Sched| {
-            let idx = cl.add_machine(MachineConfig::paper_testbed(seed, mode));
-            cl.install_control(s, idx, plane.take().expect("provisioner runs once"));
-            idx
-        },
-        seed,
-        scenario,
-    )
-    .expect("known scenario");
-    (
-        trace::render_timeline(&events),
-        trace::render_decision_log(&events),
-    )
-}
-
-/// Assert byte identity for one `(variant, seed, scenario)` cell.
-fn assert_equivalent(variant: &str, seed: u64, scenario: &str) {
-    let mode = io_mode(variant);
-    let (legacy_tl, legacy_dl) = replay(legacy_plane(variant, seed), mode, seed, scenario);
-    let (engine_tl, engine_dl) = replay(engine_plane(variant, seed), mode, seed, scenario);
-    assert!(
-        engine_tl == legacy_tl,
-        "{variant}/{scenario}/seed {seed}: engine timeline diverged from the legacy plane\n\
-         --- first difference ---\n{}",
-        first_diff(&legacy_tl, &engine_tl),
+/// Compare the replayed `cells` against their committed rows (every row
+/// when `all`).
+fn assert_matches_recorded(cells: &[(&str, &str, u64)], all: bool) {
+    let actual = replay(cells);
+    let dump = Path::new(env!("CARGO_TARGET_TMPDIR")).join("fingerprints");
+    fingerprint::check(
+        "traces.txt",
+        TRACES,
+        &actual,
+        |k| all || actual.get(k).is_some(),
+        &dump,
     );
-    assert_eq!(
-        engine_dl, legacy_dl,
-        "{variant}/{scenario}/seed {seed}: decision logs diverged"
-    );
-}
-
-/// The first differing line pair, for a readable failure message.
-fn first_diff(a: &str, b: &str) -> String {
-    for (i, (la, lb)) in a.lines().zip(b.lines()).enumerate() {
-        if la != lb {
-            return format!("line {}:\n  legacy: {la}\n  engine: {lb}", i + 1);
-        }
-    }
-    format!(
-        "line counts differ: legacy {} vs engine {}",
-        a.lines().count(),
-        b.lines().count()
-    )
 }
 
 /// Debug-suite slice: the showcase scenario under every variant, and the
@@ -128,9 +59,8 @@ fn engine_matches_legacy_planes_on_the_showcase() {
     if !trace::COMPILED {
         return; // built with --cfg iorch_trace_off
     }
-    for variant in VARIANTS {
-        assert_equivalent(variant, 42, "mixed8");
-    }
+    let cells: Vec<_> = VARIANTS.iter().map(|(v, _)| (*v, "mixed8", 42)).collect();
+    assert_matches_recorded(&cells, false);
 }
 
 #[test]
@@ -138,28 +68,31 @@ fn engine_matches_legacy_full_system_on_every_scenario() {
     if !trace::COMPILED {
         return;
     }
-    for (scenario, _) in SCENARIOS {
-        if *scenario == "mixed8" {
-            continue; // covered above
-        }
-        assert_equivalent("full", 42, scenario);
-    }
+    let cells: Vec<_> = SCENARIOS
+        .iter()
+        .filter(|(s, _)| *s != "mixed8") // covered above
+        .map(|(s, _)| ("iorchestra", *s, 42))
+        .collect();
+    assert_matches_recorded(&cells, false);
 }
 
-/// Exhaustive seed-swept sweep: every variant × every scenario × several
-/// seeds. Too heavy for the debug suite; tier1.sh runs it in release with
-/// `--include-ignored`.
+/// Exhaustive sweep: every variant × every scenario × every seed, against
+/// the whole table (a missing or extra row fails too). Too heavy for the
+/// debug suite; tier1.sh runs it in release with `--include-ignored`.
 #[test]
 #[ignore = "exhaustive sweep; run in release via tier1.sh"]
 fn engine_matches_legacy_planes_everywhere() {
     if !trace::COMPILED {
         return;
     }
-    for seed in [7u64, 42, 1337] {
-        for variant in VARIANTS {
+    let mut cells = Vec::new();
+    for seed in SEEDS {
+        for (variant, _) in VARIANTS {
             for (scenario, _) in SCENARIOS {
-                assert_equivalent(variant, seed, scenario);
+                cells.push((*variant, *scenario, seed));
             }
         }
     }
+    assert_eq!(cells.len(), 168);
+    assert_matches_recorded(&cells, true);
 }

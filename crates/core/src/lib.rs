@@ -26,9 +26,10 @@
 //! [`policy::PolicySet`] executed by the [`policy::PolicyEngine`]: typed
 //! enforcement points, staged rules, engine-owned enforcement. See the
 //! [`policy`] module for the architecture and its determinism contract;
-//! [`SystemKind`] provisions any plane onto a machine. The pre-redesign
-//! hand-fused planes survive in `iorch_bench::oracle::planes` as the
-//! byte-identity oracle.
+//! [`SystemKind`] provisions any plane onto a machine. The trace output of
+//! the pre-redesign hand-fused planes is recorded as committed
+//! fingerprints in the bench crate (`policy_equivalence` checks the
+//! engine against them).
 
 #![warn(missing_docs)]
 

@@ -26,7 +26,7 @@ pub struct FunctionSet {
 
 impl FunctionSet {
     /// All three functions (the full system).
-    pub fn all() -> Self {
+    pub const fn all() -> Self {
         FunctionSet {
             flush: true,
             congestion: true,
@@ -35,7 +35,7 @@ impl FunctionSet {
     }
 
     /// Only the flush function (Fig. 8 / Table 2 ablation).
-    pub fn flush_only() -> Self {
+    pub const fn flush_only() -> Self {
         FunctionSet {
             flush: true,
             congestion: false,
@@ -44,7 +44,7 @@ impl FunctionSet {
     }
 
     /// Only congestion control (Fig. 9 ablation).
-    pub fn congestion_only() -> Self {
+    pub const fn congestion_only() -> Self {
         FunctionSet {
             flush: false,
             congestion: true,
@@ -53,7 +53,7 @@ impl FunctionSet {
     }
 
     /// Only co-scheduling (Figs. 10–11 ablation).
-    pub fn cosched_only() -> Self {
+    pub const fn cosched_only() -> Self {
         FunctionSet {
             flush: false,
             congestion: false,

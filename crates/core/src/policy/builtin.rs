@@ -5,8 +5,10 @@
 //! [`PolicyEngine`](super::PolicyEngine). The constructors at the bottom
 //! ([`PolicySet::iorchestra`], [`PolicySet::baseline`], [`PolicySet::sdc`],
 //! [`PolicySet::dif`]) assemble them into the planes §5 of the paper
-//! compares, byte-identical in trace output to the frozen originals in
-//! `iorch_bench::oracle::planes`.
+//! compares. Their trace output is byte-identical to the pre-redesign
+//! hand-fused planes they replaced, as recorded in the committed trace
+//! fingerprints (`crates/bench/tests/fingerprints/traces.txt`, checked by
+//! `policy_equivalence`).
 
 use iorch_hypervisor::{DomainId, DOM0};
 use iorch_simcore::{SimDuration, SimTime};
@@ -15,7 +17,7 @@ use crate::anomaly::{AnomalyDetector, AnomalyParams};
 use crate::formulas::{
     drr_quantum, inverse_latency_weights, ratio_changed, socket_io_share, socket_process_weight,
 };
-use crate::planes::{FunctionSet, IOrchestraConfig};
+use crate::planes::IOrchestraConfig;
 
 use super::{
     Action, EnforcementPoint, Feed, FlushMode, PolicyCtx, PolicySet, Rule, Stage, Verdict,
@@ -496,27 +498,5 @@ impl PolicySet {
         PolicySet::custom("dif", IOrchestraConfig::new(0))
             .tick(Some(SimDuration::from_millis(100)))
             .stage(Stage::new("flush", EnforcementPoint::CommandIssue).rule(DifBroadcastRule))
-    }
-
-    /// Look up a built-in set by name (the ablation sweep's vocabulary):
-    /// `iorchestra`, `flush_only`, `congestion_only`, `cosched_only`,
-    /// `baseline`, `sdc`, or `dif`. Returns `None` for unknown names.
-    pub fn named(name: &str, seed: u64) -> Option<PolicySet> {
-        Some(match name {
-            "iorchestra" => PolicySet::iorchestra(IOrchestraConfig::new(seed)),
-            "flush_only" => PolicySet::iorchestra(
-                IOrchestraConfig::new(seed).with_functions(FunctionSet::flush_only()),
-            ),
-            "congestion_only" => PolicySet::iorchestra(
-                IOrchestraConfig::new(seed).with_functions(FunctionSet::congestion_only()),
-            ),
-            "cosched_only" => PolicySet::iorchestra(
-                IOrchestraConfig::new(seed).with_functions(FunctionSet::cosched_only()),
-            ),
-            "baseline" => PolicySet::baseline(),
-            "sdc" => PolicySet::sdc(),
-            "dif" => PolicySet::dif(),
-            _ => return None,
-        })
     }
 }

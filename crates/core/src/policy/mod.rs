@@ -27,9 +27,11 @@
 //! # Determinism contract
 //!
 //! The pipeline-expressed built-in sets reproduce the pre-redesign
-//! planes' traces **byte-identically** (see `iorch_bench::oracle::planes`
-//! and the `policy_equivalence` suite): same store write order, same
-//! trace event order, same RNG draw order. Two design rules make this
+//! planes' traces **byte-identically** (the bench crate's
+//! `policy_equivalence` suite checks every tracedump scenario against
+//! committed fingerprints of the legacy planes' timelines and decision
+//! logs): same store write order, same trace event order, same RNG draw
+//! order. Two design rules make this
 //! hold, and custom policy sets inherit them:
 //!
 //! 1. Within a stage, every rule is evaluated against the same immutable

@@ -28,15 +28,18 @@ cargo test -q --offline -p iorch-bench --release --test convergence -- --include
 cargo test -q --offline -p iorch-bench --release --test cluster_convergence -- --include-ignored
 
 # Policy-redesign byte-identity oracle: every plane expressed as a policy
-# set must replay every tracedump scenario byte-identically to the frozen
-# legacy plane, seed-swept (the exhaustive sweep is #[ignore]d in debug).
+# set must replay every tracedump scenario (7 variants x 8 scenarios x
+# seeds {7, 42, 1337}) to the committed fingerprints of the pre-redesign
+# planes' timelines and decision logs in
+# crates/bench/tests/fingerprints/traces.txt (the exhaustive sweep is
+# #[ignore]d in debug).
 cargo test -q --offline -p iorch-bench --release --test policy_equivalence -- --include-ignored
 
-# Named-policy-set ablation sweep: all seven sets must provision and
-# complete the bursty run on one engine (IORCH_ABLATION=named keeps the
-# parameter ablations out of the gate).
+# Ablation sweep at the full profile: all seven named policy sets must
+# provision and complete the bursty run on one engine, and the parameter
+# ablations must run to completion (about 1.5 s in all).
 cargo build --release --offline -p iorch-bench --bin experiments
-IORCH_ABLATION=named target/release/experiments run ablation --profile full --seed 42 --out target/exp-ablation --quiet
+target/release/experiments run ablation --profile full --seed 42 --out target/exp-ablation --quiet
 
 # Declarative-runner smoke sweep: every named experiment runs at the
 # smoke profile and every emitted JSON artifact must pass schema
@@ -47,9 +50,9 @@ target/release/experiments validate target/exp-smoke
 
 # The cluster family (part of `run all` above) doubles as a gate: it
 # fails unless every (nodes, fault) cell converges to the no-fault
-# steady state with zero duplicated ownership, and it regenerates
-# BENCH_cluster.json at the repo root.
-target/release/experiments validate BENCH_cluster.json
+# steady state with zero duplicated ownership. Its artifact
+# (target/exp-smoke/cluster/cluster.json) is validated above and its
+# bytes are pinned by the artifact fingerprints checked below.
 
 # Control-plane scaling gate: `run all` skips wall-clock (timing) specs,
 # so the scale experiment runs by name here. It regenerates
@@ -63,8 +66,11 @@ target/release/experiments validate target/exp-scale
 target/release/experiments validate BENCH_scale.json
 
 # Golden-summary regression suite: byte-identical smoke artifacts across
-# repeated runs and seeds {7, 42, 1337}, plus the live-telemetry
-# non-interference contract (the exhaustive sweep is #[ignore]d in debug).
+# repeated runs and seeds {7, 42, 1337}; at seed 42 every artifact must
+# also match crates/bench/tests/fingerprints/smoke_seed42.txt (the
+# telemetry rows are skipped with tracing compiled out, the one family
+# fed by the trace tap). Plus the live-telemetry non-interference
+# contract (the exhaustive sweep is #[ignore]d in debug).
 cargo test -q --offline -p iorch-bench --release --test experiment_determinism -- --include-ignored
 
 # Page-cache differential oracle: the slab/LRU-list/dirty-FIFO cache must
