@@ -1,5 +1,5 @@
-//! Replay a named fault scenario under the trace recorder and dump the
-//! event timeline.
+//! Replay a named fault scenario under a capturing trace session and dump
+//! the event timeline.
 //!
 //! ```text
 //! tracedump [--system NAME] [--seed N]
@@ -67,7 +67,7 @@ fn main() -> ExitCode {
     }
     if !trace::COMPILED {
         eprintln!(
-            "tracedump: the trace recorder is compiled out \
+            "tracedump: the trace layer is compiled out \
              (built with --cfg iorch_trace_off); rebuild without it"
         );
         return ExitCode::FAILURE;

@@ -29,7 +29,6 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use crate::runner::RunCfg;
-use iorch_metrics::Table;
 use iorch_simcore::SimDuration;
 
 /// Which size of a spec to run.
@@ -192,17 +191,44 @@ pub fn run_spec(
     Ok(figures)
 }
 
-/// Render a figure as the aligned console table the old benches printed.
+/// Render a figure as the aligned console table the old benches printed:
+/// a title line, then the header row, a rule and one row per x value,
+/// every column right-aligned to its widest cell.
 pub fn render_table(f: &Figure) -> String {
-    let mut headers: Vec<&str> = vec![f.x_axis.as_str()];
-    headers.extend(f.columns.iter().map(String::as_str));
-    let mut t = Table::new(f.title.clone(), &headers);
+    let mut rows = vec![std::iter::once(&f.x_axis)
+        .chain(&f.columns)
+        .cloned()
+        .collect::<Vec<_>>()];
     for r in &f.rows {
         let mut row = vec![r.x.clone()];
         row.extend(r.values.iter().map(|v| fmt_value(&f.unit, *v)));
-        t.row(row);
+        rows.push(row);
     }
-    t.render()
+    let mut widths = vec![0; rows[0].len()];
+    for row in &rows {
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.len());
+        }
+    }
+    let mut out = String::new();
+    if !f.title.is_empty() {
+        let _ = writeln!(out, "== {} ==", f.title);
+    }
+    for (i, row) in rows.iter().enumerate() {
+        out.push('|');
+        for (cell, w) in row.iter().zip(&widths) {
+            let _ = write!(out, " {cell:>w$} |");
+        }
+        out.push('\n');
+        if i == 0 {
+            out.push('|');
+            for w in &widths {
+                let _ = write!(out, "{}|", "-".repeat(w + 2));
+            }
+            out.push('\n');
+        }
+    }
+    out
 }
 
 /// Unit-aware cell formatting for the console tables. Artifacts keep the
@@ -259,4 +285,24 @@ fn render_summary(spec: &Spec, ctx: &Ctx, figures: &[Figure]) -> String {
     }
     s.push_str("  ]\n}\n");
     s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn table_renders_aligned() {
+        let mut f = Figure::new("demo", "Demo", "x", "us", vec!["latency".into()]);
+        f.row("1", vec![100.0]);
+        f.row("200", vec![5.0]);
+        assert_eq!(
+            render_table(&f),
+            "== Demo ==\n\
+             |   x | latency |\n\
+             |-----|---------|\n\
+             |   1 |   100.0 |\n\
+             | 200 |     5.0 |\n"
+        );
+    }
 }

@@ -3,7 +3,7 @@
 //! a byte-identical event timeline out of.
 //!
 //! Each scenario builds a cluster, installs a [`FaultPlan`], runs the
-//! simulation under an installed trace recorder and returns the recorded
+//! simulation under a [`TraceSession`] and returns the captured
 //! events. The `tracedump` binary renders them as a human-readable
 //! timeline, a decision log, or Chrome `about:tracing` JSON. The presets
 //! mirror the fault-injection suite (`tests/faults.rs`) so a failing
@@ -87,15 +87,15 @@ pub fn parse_system(name: &str) -> Option<SystemKind> {
         .map(|&(_, kind)| kind)
 }
 
-/// Run `scenario` under a trace recorder and return the recorded events.
+/// Run `scenario` under a [`TraceSession`] and return the captured events.
 /// Returns `None` for an unknown scenario name. With tracing compiled
 /// out (`--cfg iorch_trace_off`) the scenario still runs but the event
 /// list is empty.
 pub fn run_scenario(kind: SystemKind, seed: u64, scenario: &str) -> Option<Vec<TraceEvent>> {
     let session = TraceSession::new();
     let known = run_scenario_sim(kind, seed, scenario, FaultPlan::new());
-    let rec = session.finish();
-    known.map(|_| rec.into_events())
+    let events = session.finish();
+    known.map(|_| events)
 }
 
 /// Run `scenario` with `extra` faults layered on top of the scenario's own

@@ -200,7 +200,7 @@ fn duplicated_commands_are_discarded_by_epoch() {
         }
     }
     sim.run_until(SimTime::from_secs(6));
-    let events = session.finish().into_events();
+    let events = session.finish();
     let decisions = trace::render_decision_log(&events);
     let timeline = trace::render_timeline(&events);
     assert!(

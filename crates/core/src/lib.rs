@@ -37,7 +37,6 @@ pub mod anomaly;
 pub mod cluster;
 pub mod formulas;
 pub mod keys;
-pub mod monitor;
 pub mod netbuf;
 pub mod planes;
 pub mod policy;
@@ -45,7 +44,6 @@ mod system;
 
 pub use anomaly::{AnomalyDetector, AnomalyParams};
 pub use cluster::{ClusterConfig, ClusterTier, NodeAgent, NodeCaps};
-pub use monitor::{MonitorReport, MonitoringModule};
-pub use planes::{FunctionSet, IOrchestraConfig, PlaneStats};
+pub use planes::{FunctionSet, IOrchestraConfig};
 pub use policy::{Action, PolicyCtx, PolicyEngine, PolicySet, Rule, Stage};
 pub use system::SystemKind;

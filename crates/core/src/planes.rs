@@ -4,7 +4,7 @@
 //! [`PolicySet`](crate::policy::PolicySet)s executed by one
 //! [`PolicyEngine`](crate::policy::PolicyEngine) (see the
 //! [`policy`](crate::policy) module). This module keeps what is shared by
-//! every plane: [`FunctionSet`], [`IOrchestraConfig`] and [`PlaneStats`].
+//! every plane: [`FunctionSet`] and [`IOrchestraConfig`].
 //! Build the paper's full system with
 //! `PolicyEngine::new(PolicySet::iorchestra(cfg))`.
 
@@ -122,25 +122,6 @@ impl IOrchestraConfig {
         self.functions = f;
         self
     }
-}
-
-/// Counters exposed for tests and reports.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PlaneStats {
-    /// `flush_now` commands issued (Algorithm 1 activations).
-    pub flushes_triggered: u64,
-    /// Congestion queries answered with a release (false triggers avoided).
-    pub releases_granted: u64,
-    /// Congestion queries confirmed (host really congested).
-    pub congestions_confirmed: u64,
-    /// Staggered wakeups issued after host relief.
-    pub staggered_wakeups: u64,
-    /// Weight pushes to I/O cores.
-    pub weight_pushes: u64,
-    /// `flush_now` commands that expired unacked.
-    pub flush_timeouts: u64,
-    /// Domains quarantined (anomalous or persistently unresponsive).
-    pub quarantines: u64,
 }
 
 #[cfg(test)]

@@ -116,8 +116,7 @@ impl Rule for FlushArgmaxRule {
     }
 
     fn on_tick(&mut self, ctx: &PolicyCtx<'_>, out: &mut Vec<Action>) {
-        let Some(report) = ctx.report() else { return };
-        if !report.device_underutilized {
+        if !ctx.device_underutilized() {
             return;
         }
         let m = ctx.machine();
@@ -190,8 +189,7 @@ impl Rule for DifBroadcastRule {
     }
 
     fn on_tick(&mut self, ctx: &PolicyCtx<'_>, out: &mut Vec<Action>) {
-        let Some(report) = ctx.report() else { return };
-        if !report.device_underutilized {
+        if !ctx.device_underutilized() {
             return;
         }
         let m = ctx.machine();

@@ -45,8 +45,6 @@ use iorch_simcore::trace::{Decision, TraceEventKind};
 use iorch_simcore::{trace_event, SimDuration, SimRng, SimTime};
 
 use crate::keys::{self, val, DomainKeys};
-use crate::monitor::{MonitorReport, MonitoringModule};
-use crate::planes::PlaneStats;
 
 use super::slab::PlaneSlab;
 use super::{Action, EnforcementPoint, Feed, FlushMode, PolicyCtx, PolicySet, Rule, Verdict};
@@ -64,7 +62,6 @@ pub struct PolicyEngine {
     /// Derived: some rule adjudicates congestion queries.
     adjudicates: bool,
     rng: SimRng,
-    monitor: MonitoringModule,
     /// Slot-indexed per-domain state plus the dirty sets driving every
     /// recurring sweep (release/flush/backoff/quarantine/health state
     /// that used to live in seven parallel `BTreeMap`s).
@@ -84,7 +81,6 @@ pub struct PolicyEngine {
     /// discard commands stamped by a dead incarnation or duplicated by an
     /// unreliable bus.
     epoch: u64,
-    stats: PlaneStats,
 }
 
 impl PolicyEngine {
@@ -103,7 +99,6 @@ impl PolicyEngine {
                 .any(|st| st.rules.iter().any(|r| r.adjudicates()));
         PolicyEngine {
             rng: SimRng::new(set.cfg.seed ^ 0x10c),
-            monitor: MonitoringModule::new(),
             collaborative,
             feeds_dirty,
             adjudicates,
@@ -112,7 +107,6 @@ impl PolicyEngine {
             manager_watch_registered: false,
             traffic: Vec::new(),
             epoch: 0,
-            stats: PlaneStats::default(),
             set,
         }
     }
@@ -120,11 +114,6 @@ impl PolicyEngine {
     /// The policy set this engine executes.
     pub fn set(&self) -> &PolicySet {
         &self.set
-    }
-
-    /// Counters.
-    pub fn stats(&self) -> PlaneStats {
-        self.stats
     }
 
     /// Currently quarantined domains.
@@ -218,7 +207,6 @@ impl PolicyEngine {
         if !newly {
             return;
         }
-        self.stats.quarantines += 1;
         self.congested_fifo.retain(|&d| d != dom);
         self.slab.mark_health(m, dom);
         if self.collaborative {
@@ -284,7 +272,7 @@ impl PolicyEngine {
         m: &mut Machine,
         s: &mut Sched,
         now: SimTime,
-        report: Option<&MonitorReport>,
+        device_underutilized: bool,
         point: EnforcementPoint,
     ) {
         let mut fired: Vec<(&'static str, &'static str, Action)> = Vec::new();
@@ -294,19 +282,17 @@ impl PolicyEngine {
                 slab,
                 congested_fifo,
                 traffic,
-                stats,
                 ..
             } = self;
             let PolicySet { cfg, stages, .. } = set;
             let ctx = PolicyCtx {
                 now,
-                report,
+                device_underutilized,
                 machine: &*m,
                 traffic: &traffic[..],
                 cfg: &*cfg,
                 slab: &*slab,
                 congested_fifo: &congested_fifo[..],
-                stats: &*stats,
             };
             let mut buf = Vec::new();
             for st in stages.iter_mut().filter(|st| st.point == point) {
@@ -350,7 +336,6 @@ impl PolicyEngine {
                 quanta,
                 blkio_weight,
             } => {
-                self.stats.weight_pushes += 1;
                 trace_event!(
                     now,
                     TraceEventKind::Decision(Decision::WeightPush {
@@ -414,7 +399,6 @@ impl PolicyEngine {
                     slot.flush_in_progress = Some(deadline);
                     self.slab.mark_flush_active(dom);
                 }
-                self.stats.flushes_triggered += 1;
                 trace_event!(
                     now,
                     TraceEventKind::Decision(Decision::FlushNow {
@@ -453,7 +437,6 @@ impl PolicyEngine {
     /// adjudication, the reconciliation re-issue and [`Action::Release`],
     /// so every grant follows the same store sequence.
     fn grant_release(&mut self, m: &mut Machine, now: SimTime, dom: DomainId) {
-        self.stats.releases_granted += 1;
         trace_event!(
             now,
             TraceEventKind::Decision(Decision::ReleaseGranted {
@@ -483,19 +466,17 @@ impl PolicyEngine {
             set,
             slab,
             congested_fifo,
-            stats,
             ..
         } = self;
         let PolicySet { cfg, stages, .. } = set;
         let ctx = PolicyCtx {
             now,
-            report: None,
+            device_underutilized: false,
             machine: m,
             traffic: &[],
             cfg: &*cfg,
             slab: &*slab,
             congested_fifo: &congested_fifo[..],
-            stats: &*stats,
         };
         for st in stages.iter_mut() {
             for r in st.rules.iter_mut() {
@@ -518,7 +499,6 @@ impl PolicyEngine {
     fn adjudicate_congestion(&mut self, m: &mut Machine, now: SimTime, dom: DomainId) {
         match self.poll_verdict(&*m, now, dom) {
             Verdict::Confirm => {
-                self.stats.congestions_confirmed += 1;
                 trace_event!(
                     now,
                     TraceEventKind::Decision(Decision::CongestionConfirmed {
@@ -569,7 +549,6 @@ impl PolicyEngine {
                 }
                 None => return false,
             };
-            self.stats.flush_timeouts += 1;
             trace_event!(
                 now,
                 TraceEventKind::Decision(Decision::FlushTimeout { dom: dom.0, streak })
@@ -770,7 +749,6 @@ impl PolicyEngine {
                     self.rng.range(0, self.set.cfg.wake_interleave_max_ms),
                 );
             }
-            self.stats.staggered_wakeups += 1;
             trace_event!(
                 now,
                 TraceEventKind::Decision(Decision::StaggeredWake {
@@ -1087,9 +1065,11 @@ impl ControlPlane for PolicyEngine {
                 }
             }
         }
-        let report = self.monitor.sample(m, now);
+        // Algorithm 1's idleness test, sampled once per tick (the one
+        // monitor signal that advances the device's bandwidth window).
+        let idle = m.storage.monitor_mut().is_underutilized(now);
         // Admission stages (anomaly budgets → quarantine).
-        self.eval_point(m, s, now, Some(&report), EnforcementPoint::QueueAdmission);
+        self.eval_point(m, s, now, idle, EnforcementPoint::QueueAdmission);
         if self.collaborative {
             // Unacked flush commands lose their slot, with
             // backoff/quarantine.
@@ -1125,17 +1105,17 @@ impl ControlPlane for PolicyEngine {
             self.slab.restore_kernel_dirty(dirty);
         }
         // Command-issue stages (flush argmax, congestion adjudication).
-        self.eval_point(m, s, now, Some(&report), EnforcementPoint::CommandIssue);
+        self.eval_point(m, s, now, idle, EnforcementPoint::CommandIssue);
         if self.adjudicates {
             self.reconcile_congestion(m, now);
-            if !report.device_congested {
+            if !m.storage.is_congested() {
                 self.run_congestion_relief(m, s);
             }
         }
-        self.eval_point(m, s, now, Some(&report), EnforcementPoint::RingPush);
-        self.eval_point(m, s, now, Some(&report), EnforcementPoint::DrrVisit);
+        self.eval_point(m, s, now, idle, EnforcementPoint::RingPush);
+        self.eval_point(m, s, now, idle, EnforcementPoint::DrrVisit);
         // Dispatch stages (co-scheduling weights).
-        self.eval_point(m, s, now, Some(&report), EnforcementPoint::DeviceDispatch);
+        self.eval_point(m, s, now, idle, EnforcementPoint::DeviceDispatch);
         if self.collaborative {
             self.publish_health(m);
         }
@@ -1152,13 +1132,11 @@ impl ControlPlane for PolicyEngine {
         // the guests) survive. Reset every field to its boot state — the
         // recovery scan rebuilds what was persisted.
         self.rng = SimRng::new(self.set.cfg.seed ^ 0x10c);
-        self.monitor = MonitoringModule::new();
         self.slab.clear();
         self.congested_fifo.clear();
         self.manager_watch_registered = false;
         self.traffic.clear();
         self.epoch = 0;
-        self.stats = PlaneStats::default();
         Self::each_rule(&mut self.set, |r| r.on_crash());
     }
 
@@ -1384,8 +1362,7 @@ mod tests {
             let mut pristine = plane.rng.clone();
             let session = iorch_simcore::trace::TraceSession::new();
             plane.run_congestion_relief(cl.machine_mut(idx), s);
-            let rec = session.finish();
-            assert_eq!(plane.stats.staggered_wakeups, doms, "seed {seed}");
+            let events = session.finish();
             assert!(plane.congested_fifo.is_empty(), "seed {seed}");
             // The RNG stream is untouched: the next draw matches a clone
             // taken before the relief ran.
@@ -1395,8 +1372,8 @@ mod tests {
                 "seed {seed}: interleave 0 consumed the RNG stream"
             );
             if iorch_simcore::trace::COMPILED {
-                let offsets: Vec<u64> = rec
-                    .into_events()
+                // One zero-offset wake decision per woken domain.
+                let offsets: Vec<u64> = events
                     .iter()
                     .filter_map(|e| match &e.kind {
                         TraceEventKind::Decision(Decision::StaggeredWake { offset_ms, .. }) => {

@@ -12,8 +12,10 @@
 //!
 //! # Division of labour
 //!
-//! * **Rules decide.** A [`Rule`] reads monitor and trace signals through
-//!   a read-only [`PolicyCtx`] and emits [`Action`]s. Rules own their own
+//! * **Rules decide.** A [`Rule`] reads the machine, the tick's
+//!   device-idleness sample, the store traffic drain and the engine's
+//!   per-domain state through a read-only [`PolicyCtx`] and emits
+//!   [`Action`]s. Rules own their own
 //!   decision state (rate windows, last pushed weights, …) and are
 //!   notified of lifecycle events (crash, domain creation and
 //!   destruction, quarantine clears).
@@ -75,8 +77,7 @@ use iorch_hypervisor::{DomainId, Machine, StoreQuota, StoreTraffic};
 use iorch_simcore::{SimDuration, SimTime};
 
 use crate::keys::DomainKeys;
-use crate::monitor::MonitorReport;
-use crate::planes::{IOrchestraConfig, PlaneStats};
+use crate::planes::IOrchestraConfig;
 
 // --------------------------------------------------------------------
 // Enforcement points
@@ -246,18 +247,17 @@ pub enum Verdict {
 // PolicyCtx
 // --------------------------------------------------------------------
 
-/// Read-only view of the monitor, machine and engine state a [`Rule`]
-/// decides on. Built fresh for each evaluation; rules cannot mutate
-/// anything through it — all effects go through emitted [`Action`]s.
+/// Read-only view of the machine and engine state a [`Rule`] decides on.
+/// Built fresh for each evaluation; rules cannot mutate anything through
+/// it — all effects go through emitted [`Action`]s.
 pub struct PolicyCtx<'a> {
     pub(crate) now: SimTime,
-    pub(crate) report: Option<&'a MonitorReport>,
+    pub(crate) device_underutilized: bool,
     pub(crate) machine: &'a Machine,
     pub(crate) traffic: &'a [(DomainId, StoreTraffic)],
     pub(crate) cfg: &'a IOrchestraConfig,
     pub(crate) slab: &'a slab::PlaneSlab,
     pub(crate) congested_fifo: &'a [DomainId],
-    pub(crate) stats: &'a PlaneStats,
 }
 
 impl<'a> PolicyCtx<'a> {
@@ -266,10 +266,11 @@ impl<'a> PolicyCtx<'a> {
         self.now
     }
 
-    /// This tick's monitor report (`None` outside tick evaluation, e.g.
-    /// during recovery adjudication).
-    pub fn report(&self) -> Option<&'a MonitorReport> {
-        self.report
+    /// Algorithm 1's idleness test: device bandwidth over the monitoring
+    /// window is below 1/10 of capacity. Sampled once at the top of each
+    /// tick; `false` outside tick evaluation (congestion adjudication).
+    pub fn device_underutilized(&self) -> bool {
+        self.device_underutilized
     }
 
     /// The machine: store (reads only — `read_ref` takes `&self`),
@@ -329,11 +330,6 @@ impl<'a> PolicyCtx<'a> {
     /// Domains whose congestion was confirmed, in FIFO wake order.
     pub fn congested_fifo(&self) -> &'a [DomainId] {
         self.congested_fifo
-    }
-
-    /// The engine's activation counters so far.
-    pub fn stats(&self) -> &'a PlaneStats {
-        self.stats
     }
 }
 

@@ -71,8 +71,9 @@ fn dirty_publication_flows_to_store() {
 
 #[test]
 fn plane_stats_count_activations() {
-    // Drive the flush choreography and check PlaneStats via a plane we
-    // hold the configuration of (provisioned manually).
+    // Drive the flush choreography on a manually provisioned flush-only
+    // plane and check its effects: flush_now reset, dirty pages drained
+    // and the bytes written at the device.
     let mut sim = Simulation::new(Cluster::new());
     let (cl, s) = sim.parts_mut();
     let idx = cl.add_machine(MachineConfig::paper_testbed(3, IoPathMode::Paravirt));
@@ -189,7 +190,7 @@ fn clear_without_quarantine_and_double_clear_are_noops() {
             t += SimDuration::from_millis(500);
             sim.run_until(t);
         }
-        let events = session.finish().into_events();
+        let events = session.finish();
         if iorch_simcore::trace::COMPILED {
             let decisions = iorch_simcore::trace::render_decision_log(&events);
             assert!(

@@ -190,12 +190,8 @@ pub struct KernelStats {
     pub reads: u64,
     /// Write ops started.
     pub writes: u64,
-    /// Sync ops started.
-    pub syncs: u64,
     /// Chunk-granularity cache hits.
     pub cache_hit_chunks: u64,
-    /// Chunk-granularity cache misses.
-    pub cache_miss_chunks: u64,
     /// Ops that had to sleep on a congested queue.
     pub congestion_blocked_ops: u64,
     /// Write ops throttled on the dirty ratio.
@@ -482,7 +478,6 @@ impl GuestKernel {
                 self.cache.touch(c);
                 self.stats.cache_hit_chunks += 1;
             } else {
-                self.stats.cache_miss_chunks += 1;
                 missing.push(c);
             }
         }
@@ -560,7 +555,6 @@ impl GuestKernel {
     }
 
     fn start_sync(&mut self, now: SimTime) -> OpId {
-        self.stats.syncs += 1;
         let taken = self.wb.on_sync(&mut self.cache);
         if !taken.is_empty() {
             trace_event!(

@@ -70,7 +70,6 @@ pub struct IoCore {
     in_process: Option<InProcess>,
     ewma_latency_us: f64,
     processed: u64,
-    bytes: BTreeMap<DomainId, u64>,
 }
 
 impl IoCore {
@@ -88,7 +87,6 @@ impl IoCore {
             in_process: None,
             ewma_latency_us: 0.0,
             processed: 0,
-            bytes: BTreeMap::new(),
         }
     }
 
@@ -139,11 +137,6 @@ impl IoCore {
     /// Requests processed so far.
     pub fn processed_count(&self) -> u64 {
         self.processed
-    }
-
-    /// Bytes processed for one VM.
-    pub fn bytes_of(&self, dom: DomainId) -> u64 {
-        self.bytes.get(&dom).copied().unwrap_or(0)
     }
 
     /// Enqueue a request into a VM's buffer. `remote` marks a payload on a
@@ -244,7 +237,6 @@ impl IoCore {
             0.8 * self.ewma_latency_us + 0.2 * lat_us
         };
         self.processed += 1;
-        *self.bytes.entry(ip.dom).or_insert(0) += ip.req.len;
         (ip.dom, ip.req)
     }
 

@@ -16,7 +16,6 @@ use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
 use iorch_guestos::{CompletedOp, FileOp, GuestConfig, GuestKernel, KernelSignal, OpClass, OpId};
-use iorch_metrics::LatencyHistogram;
 use iorch_simcore::trace::TraceEventKind;
 use iorch_simcore::{trace_event, FaultPlan, Scheduler, SimDuration, SimRng, SimTime};
 use iorch_storage::{IoRequest, StorageSubsystem, StreamId};
@@ -258,7 +257,6 @@ pub struct Machine {
     device_event_at: SimTime,
     pending_signals: Vec<(DomainId, KernelSignal)>,
     pending_results: Vec<(OpResult, Option<OpWaiter>)>,
-    io_hist: BTreeMap<DomainId, LatencyHistogram>,
     io_bytes: BTreeMap<DomainId, u64>,
     ops_completed: BTreeMap<DomainId, u64>,
     /// Re-entrancy guard for [`Cluster::drain_results`]: a waiter that
@@ -580,8 +578,6 @@ impl Cluster {
         let now = s.now();
         let m = &mut cl.machines[idx];
         if let Some(d) = m.domains.get_mut(&dom) {
-            let lat = now.saturating_since(req.submitted);
-            m.io_hist.entry(dom).or_default().record(lat);
             *m.io_bytes.entry(dom).or_insert(0) += req.len;
             trace_event!(
                 now,
@@ -718,7 +714,6 @@ impl Machine {
             device_event_at: SimTime::MAX,
             pending_signals: Vec::new(),
             pending_results: Vec::new(),
-            io_hist: BTreeMap::new(),
             io_bytes: BTreeMap::new(),
             ops_completed: BTreeMap::new(),
             draining: false,
@@ -794,17 +789,12 @@ impl Machine {
         self.domains.get_mut(&dom).map(|d| &mut d.kernel)
     }
 
-    /// Block-level I/O latency histogram of a domain.
-    pub fn io_latency(&self, dom: DomainId) -> Option<&LatencyHistogram> {
-        self.io_hist.get(&dom)
-    }
-
-    /// Total bytes moved for a domain.
+    /// Total bytes moved for a live domain (0 once it is destroyed).
     pub fn io_bytes(&self, dom: DomainId) -> u64 {
         self.io_bytes.get(&dom).copied().unwrap_or(0)
     }
 
-    /// File ops completed for a domain.
+    /// File ops completed for a live domain (0 once it is destroyed).
     pub fn ops_completed(&self, dom: DomainId) -> u64 {
         self.ops_completed.get(&dom).copied().unwrap_or(0)
     }
@@ -883,6 +873,8 @@ impl Machine {
             self.slot_free.push(d.slot);
             self.topology.unplace(&d.cores);
             self.stream_to_dom.remove(&d.kernel.stream());
+            self.io_bytes.remove(&dom);
+            self.ops_completed.remove(&dom);
             self.storage.drain_stream(d.kernel.stream());
             for core in &mut self.iocores {
                 core.remove_domain(dom);
@@ -1553,21 +1545,34 @@ mod tests {
         assert_eq!(m.ops_completed(dom), 200);
     }
 
+    /// Per-domain I/O counters count a domain's traffic and leave with
+    /// it: create → I/O → destroy cycles (tenant turnover) leave both
+    /// maps empty.
     #[test]
-    fn io_latency_histogram_populated() {
+    fn destroy_drops_per_domain_io_counters() {
         let (mut sim, idx) = sim_with(IoPathMode::Paravirt);
-        let (cl, s) = sim.parts_mut();
-        let dom = cl.create_domain(s, idx, VmSpec::new(2, 4), |_| {});
-        let file = cl.machines[idx]
-            .kernel_mut(dom)
-            .unwrap()
-            .create_file(100 << 20)
-            .unwrap();
-        let _ = one_read(&mut sim, idx, dom, file, 0);
-        sim.run_until(SimTime::from_millis(100));
-        let h = sim.world().machine(idx).io_latency(dom).unwrap();
-        assert!(h.count() >= 1);
-        assert!(sim.world().machine(idx).io_bytes(dom) >= 65536);
+        let mut t = SimTime::ZERO;
+        for _ in 0..3 {
+            let (cl, s) = sim.parts_mut();
+            let dom = cl.create_domain(s, idx, VmSpec::new(2, 4), |_| {});
+            let file = cl.machines[idx]
+                .kernel_mut(dom)
+                .unwrap()
+                .create_file(100 << 20)
+                .unwrap();
+            let done = one_read(&mut sim, idx, dom, file, 0);
+            t += SimDuration::from_millis(100);
+            sim.run_until(t);
+            assert!(done.borrow().is_some());
+            let m = sim.world().machine(idx);
+            assert!(m.io_bytes(dom) >= 65536);
+            assert_eq!(m.ops_completed(dom), 1);
+            let (cl, s) = sim.parts_mut();
+            cl.destroy_domain(s, idx, dom);
+        }
+        let m = sim.world().machine(idx);
+        assert!(m.io_bytes.is_empty());
+        assert!(m.ops_completed.is_empty());
     }
 
     #[test]

@@ -471,7 +471,7 @@ pub struct XenStore {
     denied_counts: BTreeMap<DomainId, u64>,
     /// Sim-time stamp for trace events. The store itself is time-free;
     /// the machine refreshes this at each event-loop entry while a trace
-    /// recorder is installed (see [`XenStore::set_trace_now`]).
+    /// tap is installed (see [`XenStore::set_trace_now`]).
     trace_now: SimTime,
     /// Per-domain resource limits; `None` (the default) disables all
     /// quota enforcement and accounting.
@@ -531,7 +531,7 @@ impl XenStore {
     /// Set the sim-time used to stamp trace events for subsequent store
     /// operations. Store methods take no clock of their own, so the
     /// machine pushes the current time here before running control-plane
-    /// code — and only while a trace recorder is installed, keeping the
+    /// code — and only while a trace tap is installed, keeping the
     /// untraced hot path untouched.
     pub fn set_trace_now(&mut self, now: SimTime) {
         self.trace_now = now;
@@ -744,21 +744,6 @@ impl XenStore {
             return Err(StoreError::PermissionDenied);
         }
         node.value.as_deref().ok_or(StoreError::NotFound)
-    }
-
-    /// Read a value as a shared `Rc<str>` (refcount bump, no copy).
-    pub fn read_shared<P: AsStorePath>(
-        &self,
-        caller: DomainId,
-        path: P,
-    ) -> Result<Rc<str>, StoreError> {
-        let path = path.path_str();
-        validate_path(path)?;
-        let node = self.lookup(path).ok_or(StoreError::NotFound)?;
-        if !node.perms.can_read(caller) {
-            return Err(StoreError::PermissionDenied);
-        }
-        node.value.clone().ok_or(StoreError::NotFound)
     }
 
     /// Walk to the node at `path`, creating missing nodes with inherited
@@ -1430,8 +1415,6 @@ mod tests {
             Err(StoreError::PermissionDenied)
         );
         assert_eq!(s.read_ref(DOM0, "/nope"), Err(StoreError::NotFound));
-        let shared = s.read_shared(d(1), "/local/domain/1/x").unwrap();
-        assert_eq!(&*shared, "hello");
     }
 
     #[test]

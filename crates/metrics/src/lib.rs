@@ -8,27 +8,26 @@
 //!   Figs. 5–6);
 //! * [`WindowedRate`] / [`Throughput`] — bandwidth monitoring (the
 //!   blktrace stand-in that drives the flush policy) and run throughput;
-//! * [`TimeWeightedGauge`] — CPU and device utilization (paper Fig. 10c);
-//! * [`LatencySummary`] / [`Table`] — the row/series formatting used by
-//!   every bench harness;
+//! * [`LatencySummary`] and the improvement helpers — the latency columns
+//!   and relative gains every figure reports;
 //! * [`TelemetryHub`] / [`LiveReport`] — live fixed-cadence export of
 //!   p50/p99/SLO-violation streams for long runs (the `trace`-tap bridge).
+//!
+//! CPU utilization (paper Fig. 10c) is the hypervisor's `CpuAccounting`
+//! busy-time ledger, not a gauge here.
 
 #![warn(missing_docs)]
 
 mod cdf;
 mod export;
-mod gauge;
 mod histogram;
 mod rate;
 mod summary;
 
 pub use cdf::{cdf, cdf_at_fractions, standard_grid, CdfPoint};
 pub use export::{shared_hub, LiveReport, ReportSink, SharedHub, TelemetryHub};
-pub use gauge::TimeWeightedGauge;
 pub use histogram::LatencyHistogram;
 pub use rate::{Throughput, WindowedRate};
 pub use summary::{
-    fmt_ms, fmt_pct, fmt_ratio, fmt_us, latency_improvement_pct, normalized,
-    throughput_improvement_pct, LatencySummary, Table,
+    fmt_ms, fmt_us, latency_improvement_pct, normalized, throughput_improvement_pct, LatencySummary,
 };

@@ -1,10 +1,6 @@
-//! Run summaries and plain-text table rendering for the bench harness.
-//!
-//! Every experiment harness prints the same rows/series the paper reports;
-//! [`Table`] does the aligned formatting and [`LatencySummary`] condenses a
-//! histogram into the columns used across figures.
-
-use std::fmt::Write as _;
+//! Run summaries for the bench harness: [`LatencySummary`] condenses a
+//! histogram into the columns used across figures, and the improvement
+//! helpers compute the paper's relative gains.
 
 use crate::histogram::LatencyHistogram;
 use iorch_simcore::SimDuration;
@@ -71,80 +67,6 @@ pub fn normalized(baseline: SimDuration, variant: SimDuration) -> f64 {
     variant.as_nanos() as f64 / b
 }
 
-/// A simple aligned text table.
-#[derive(Clone, Debug, Default)]
-pub struct Table {
-    title: String,
-    headers: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl Table {
-    /// New table with a title and column headers.
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
-        Table {
-            title: title.into(),
-            headers: headers.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Append a row; must match the header count.
-    pub fn row(&mut self, cells: Vec<String>) -> &mut Self {
-        assert_eq!(
-            cells.len(),
-            self.headers.len(),
-            "row width must match headers"
-        );
-        self.rows.push(cells);
-        self
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when no rows have been added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Render as an aligned plain-text table with a title line.
-    pub fn render(&self) -> String {
-        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
-            for (w, cell) in widths.iter_mut().zip(row) {
-                *w = (*w).max(cell.len());
-            }
-        }
-        let mut out = String::new();
-        if !self.title.is_empty() {
-            let _ = writeln!(out, "== {} ==", self.title);
-        }
-        let line = |cells: &[String], widths: &[usize]| -> String {
-            let mut s = String::from("|");
-            for (cell, w) in cells.iter().zip(widths) {
-                let _ = write!(s, " {cell:>w$} |", w = w);
-            }
-            s
-        };
-        let _ = writeln!(out, "{}", line(&self.headers, &widths));
-        let sep: String = {
-            let mut s = String::from("|");
-            for w in &widths {
-                let _ = write!(s, "{}|", "-".repeat(w + 2));
-            }
-            s
-        };
-        let _ = writeln!(out, "{sep}");
-        for row in &self.rows {
-            let _ = writeln!(out, "{}", line(row, &widths));
-        }
-        out
-    }
-}
-
 /// Format a duration in the unit the paper uses for a given figure.
 pub fn fmt_us(d: SimDuration) -> String {
     format!("{:.1}", d.as_micros_f64())
@@ -153,16 +75,6 @@ pub fn fmt_us(d: SimDuration) -> String {
 /// Format a duration in milliseconds with one decimal.
 pub fn fmt_ms(d: SimDuration) -> String {
     format!("{:.1}", d.as_millis_f64())
-}
-
-/// Format a percentage with one decimal.
-pub fn fmt_pct(p: f64) -> String {
-    format!("{p:.1}%")
-}
-
-/// Format a ratio with three decimals (normalized-latency plots).
-pub fn fmt_ratio(r: f64) -> String {
-    format!("{r:.3}")
 }
 
 #[cfg(test)]
@@ -203,32 +115,8 @@ mod tests {
     }
 
     #[test]
-    fn table_renders_aligned() {
-        let mut t = Table::new("demo", &["x", "latency"]);
-        t.row(vec!["1".into(), "100.0".into()]);
-        t.row(vec!["200".into(), "5.0".into()]);
-        let s = t.render();
-        assert!(s.contains("== demo =="));
-        assert!(s.contains("latency"));
-        // Both rows render with consistent pipe counts.
-        let pipes: Vec<usize> = s.lines().skip(1).map(|l| l.matches('|').count()).collect();
-        assert!(pipes.windows(2).all(|w| w[0] == w[1]));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "row width")]
-    fn table_rejects_ragged_rows() {
-        let mut t = Table::new("demo", &["a", "b"]);
-        t.row(vec!["only one".into()]);
-    }
-
-    #[test]
     fn formatters() {
         assert_eq!(fmt_us(SimDuration::from_micros(1500)), "1500.0");
         assert_eq!(fmt_ms(SimDuration::from_micros(1500)), "1.5");
-        assert_eq!(fmt_pct(12.34), "12.3%");
-        assert_eq!(fmt_ratio(0.9), "0.900");
     }
 }

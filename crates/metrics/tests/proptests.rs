@@ -1,8 +1,8 @@
-//! Randomized tests for histogram and gauge invariants, driven by the
+//! Randomized tests for histogram, CDF and rate invariants, driven by the
 //! in-tree generators (`iorch_simcore::gen`) with a fixed seed sweep — no
 //! external property-test crate.
 
-use iorch_metrics::{cdf, LatencyHistogram, TimeWeightedGauge, WindowedRate};
+use iorch_metrics::{cdf, LatencyHistogram, WindowedRate};
 use iorch_simcore::{gen, SimDuration, SimTime};
 
 const CASES: usize = 64;
@@ -129,31 +129,5 @@ fn windowed_rate_conservation() {
             .sum();
         assert_eq!(r.sum_in_window(now), expect, "seed {seed}");
         assert!(r.sum_in_window(now) <= r.lifetime_sum(), "seed {seed}");
-    });
-}
-
-/// Time-weighted average is bounded by the min and max of the values.
-#[test]
-fn gauge_average_bounded() {
-    gen::for_each_seed(0x3E_0006, CASES, |seed, rng| {
-        let updates = gen::vec_between(rng, 1, 50, |r| {
-            (1 + r.below(9_999), gen::f64_in(r, 0.0, 100.0))
-        });
-        let mut sorted = updates.clone();
-        sorted.sort_by_key(|u| u.0);
-        let mut g = TimeWeightedGauge::new(SimTime::ZERO, sorted[0].1);
-        let mut lo = sorted[0].1;
-        let mut hi = sorted[0].1;
-        for &(t, v) in &sorted {
-            g.set(SimTime::from_millis(t), v);
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        let end = SimTime::from_millis(sorted.last().unwrap().0 + 10);
-        let avg = g.average(end);
-        assert!(
-            avg >= lo - 1e-9 && avg <= hi + 1e-9,
-            "avg {avg} not in [{lo}, {hi}] (seed {seed})"
-        );
     });
 }

@@ -1,11 +1,11 @@
 //! # iorch-trace — deterministic structured event tracing
 //!
-//! A sim-time, seeded-deterministic recorder for the whole I/O path: the
-//! paper's monitoring module is blktrace-shaped, and reproducing its
+//! A sim-time, seeded-deterministic event stream for the whole I/O path:
+//! the paper's monitoring module is blktrace-shaped, and reproducing its
 //! decisions requires the same per-request, per-layer visibility. Every
 //! layer (guest block queue, kernel, frontend ring, I/O cores, device,
 //! system store, control planes) emits typed [`TraceEvent`]s through the
-//! [`trace_event!`](crate::trace_event) macro into a bounded per-thread ring.
+//! [`trace_event!`](crate::trace_event) macro to the thread's taps.
 //!
 //! Design points:
 //!
@@ -19,19 +19,19 @@
 //!   event value — folds away. Even when compiled in, the off-path is one
 //!   thread-local boolean load; the hot-path bench gate
 //!   (`scripts/bench_hotpath.sh`) holds with the layer merged.
-//! * **Bounded**: the ring keeps the most recent `capacity` events and
-//!   counts what it dropped, so tracing a long run cannot exhaust memory.
-//! * **Per-thread**: the recorder lives in thread-local storage. Runs are
+//! * **One sink list**: every observer is a [`Tap`] installed by a
+//!   [`TapSession`]; any number may be installed at once and each sees the
+//!   whole stream. [`TraceSession`] is the tap that keeps every event.
+//! * **Per-thread**: the taps live in thread-local storage. Runs are
 //!   single-threaded by design (see crate docs), and the test harness runs
-//!   many runs on different threads concurrently — a process-global
-//!   recorder would interleave them.
+//!   many runs on different threads concurrently — process-global taps
+//!   would interleave them.
 //!
-//! Two exporters ship with the recorder: a human-oriented timeline /
+//! Two exporters render captured events: a human-oriented timeline /
 //! decision-log renderer (what `bin/tracedump` prints) and a Chrome
 //! trace-event JSON writer (`chrome://tracing`, Perfetto).
 
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
@@ -41,19 +41,6 @@ use crate::SimTime;
 /// `RUSTFLAGS="--cfg iorch_trace_off"`; the [`trace_event!`](crate::trace_event) macro
 /// const-folds to nothing in that configuration.
 pub const COMPILED: bool = !cfg!(iorch_trace_off);
-
-/// Default ring capacity used by [`install`] via [`TraceSession::new`].
-pub const DEFAULT_CAPACITY: usize = 1 << 20;
-
-thread_local! {
-    static ENABLED: Cell<bool> = const { Cell::new(false) };
-    static RECORDER: RefCell<Option<TraceRecorder>> = const { RefCell::new(None) };
-    static TAP_ACTIVE: Cell<bool> = const { Cell::new(false) };
-    static TAP: RefCell<Option<Tap>> = const { RefCell::new(None) };
-}
-
-/// A live observer of trace events (see [`set_tap`]).
-pub type Tap = Box<dyn FnMut(SimTime, &TraceEventKind)>;
 
 /// One recorded event: a simulated timestamp plus a typed payload.
 #[derive(Clone, PartialEq, Debug)]
@@ -449,150 +436,108 @@ pub enum Decision {
     },
 }
 
-/// Bounded event ring plus drop accounting.
-#[derive(Clone, Debug)]
-pub struct TraceRecorder {
-    ring: VecDeque<TraceEvent>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl TraceRecorder {
-    /// New empty recorder keeping at most `capacity` events (≥ 1).
-    pub fn new(capacity: usize) -> Self {
-        TraceRecorder {
-            ring: VecDeque::new(),
-            capacity: capacity.max(1),
-            dropped: 0,
-        }
-    }
-
-    /// Append an event, evicting the oldest when full.
-    pub fn push(&mut self, ev: TraceEvent) {
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-        self.ring.push_back(ev);
-    }
-
-    /// Events in arrival order (oldest first).
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.ring.iter()
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Events evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Consume into a plain vector (oldest first).
-    pub fn into_events(self) -> Vec<TraceEvent> {
-        self.ring.into()
-    }
-}
-
-/// Install a fresh recorder on this thread and enable recording.
-///
-/// Replaces (and discards) any recorder already installed. Under
-/// `--cfg iorch_trace_off` the recorder is still installed but
-/// [`enabled()`] stays `false`, so nothing records.
-pub fn install(capacity: usize) {
-    RECORDER.with(|r| *r.borrow_mut() = Some(TraceRecorder::new(capacity)));
-    ENABLED.with(|e| e.set(true));
-}
-
-/// Disable recording and take the recorder off this thread.
-pub fn uninstall() -> Option<TraceRecorder> {
-    ENABLED.with(|e| e.set(false));
-    RECORDER.with(|r| r.borrow_mut().take())
-}
-
-/// Install a live tap on this thread: every event recorded via
-/// [`trace_event!`](crate::trace_event) is also handed to `tap` by reference,
-/// whether or not a ring recorder is installed. This is the metrics-export
-/// seam — a telemetry hub observes the event stream without retaining it.
+/// A live observer of trace events, installed on this thread by a
+/// [`TapSession`]: every event recorded via
+/// [`trace_event!`](crate::trace_event) is handed to every installed tap by
+/// reference, in installation order, until its session drops. This is the
+/// one observation seam — a [`TraceSession`] is a tap that clones
+/// events into a `Vec`, and a telemetry hub is a tap that folds them
+/// without retaining them.
 ///
 /// Determinism contract: a tap is **read-only with respect to the
 /// simulation**. It receives borrowed events, never sees or touches the
 /// RNG, and adds no scheduler events, so installing one cannot change the
-/// (seed → trace) mapping; the ring contents with and without a tap are
-/// byte-identical. The tap itself must not emit trace events (re-entrant
-/// events are silently not delivered to the tap, though they still reach
-/// the ring). Replaces any previously installed tap.
-pub fn set_tap(tap: Tap) {
-    TAP.with(|t| *t.borrow_mut() = Some(tap));
-    TAP_ACTIVE.with(|a| a.set(true));
+/// (seed → trace) mapping; what one tap sees does not depend on which
+/// other taps are installed. A tap must not emit trace events (an event
+/// emitted while taps are being called reaches no tap) and must not
+/// install or drop a session.
+pub type Tap = Box<dyn FnMut(SimTime, &TraceEventKind)>;
+
+thread_local! {
+    static ACTIVE: Cell<bool> = const { Cell::new(false) };
+    static TAPS: RefCell<Vec<(u64, Tap)>> = const { RefCell::new(Vec::new()) };
+    static NEXT_TAP: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Remove the live tap, returning it (e.g. to extract accumulated state).
-pub fn clear_tap() -> Option<Tap> {
-    TAP_ACTIVE.with(|a| a.set(false));
-    TAP.with(|t| t.borrow_mut().take())
-}
-
-/// Whether [`trace_event!`](crate::trace_event) records on this thread —
-/// either into a ring recorder or into a live tap. The [`COMPILED`] test
-/// is first so the whole call folds to `false` when traced-off builds
-/// const-propagate it.
+/// Whether [`trace_event!`](crate::trace_event) records on this thread: at
+/// least one tap is installed. The [`COMPILED`] test is first so the whole
+/// call folds to `false` when traced-off builds const-propagate it.
 #[inline(always)]
 pub fn enabled() -> bool {
-    COMPILED && (ENABLED.with(|e| e.get()) || TAP_ACTIVE.with(|a| a.get()))
+    COMPILED && ACTIVE.with(|a| a.get())
 }
 
-/// Record an event. Call through [`trace_event!`](crate::trace_event), which guards on
-/// [`enabled()`] so disabled runs never construct the event value.
+/// Hand an event to every installed tap. Call through
+/// [`trace_event!`](crate::trace_event), which guards on [`enabled()`] so
+/// disabled runs never construct the event value.
 #[cold]
 pub fn record(t: SimTime, kind: TraceEventKind) {
-    if TAP_ACTIVE.with(|a| a.get()) {
-        // Take the tap out while calling it so a tap that (incorrectly)
-        // emits trace events cannot re-enter itself.
-        let taken = TAP.with(|c| c.borrow_mut().take());
-        if let Some(mut f) = taken {
-            f(t, &kind);
-            TAP.with(|c| *c.borrow_mut() = Some(f));
-        }
-    }
-    RECORDER.with(|r| {
-        if let Some(rec) = r.borrow_mut().as_mut() {
-            rec.push(TraceEvent { t, kind });
+    TAPS.with(|taps| {
+        // A tap that emits an event finds the list already borrowed: the
+        // re-entrant event reaches no tap.
+        if let Ok(mut taps) = taps.try_borrow_mut() {
+            for (_, tap) in taps.iter_mut() {
+                tap(t, &kind);
+            }
         }
     });
 }
 
-/// RAII guard: installs a recorder on construction, takes it on
-/// [`finish`](TraceSession::finish) (or disables on drop).
+/// RAII guard for a live tap: installs on construction, removes on drop.
+/// See [`Tap`] for the determinism contract.
+pub struct TapSession {
+    id: u64,
+}
+
+impl TapSession {
+    /// Install `tap` as one of the thread's live observers.
+    pub fn new(tap: Tap) -> Self {
+        let id = NEXT_TAP.with(|n| n.replace(n.get() + 1));
+        TAPS.with(|taps| taps.borrow_mut().push((id, tap)));
+        ACTIVE.with(|a| a.set(true));
+        TapSession { id }
+    }
+}
+
+impl Drop for TapSession {
+    fn drop(&mut self) {
+        // Never panic here: a session dropped from inside a tap (which the
+        // contract forbids) or during thread teardown stays installed.
+        let _ = TAPS.try_with(|taps| {
+            if let Ok(mut taps) = taps.try_borrow_mut() {
+                taps.retain(|(id, _)| *id != self.id);
+                ACTIVE.with(|a| a.set(!taps.is_empty()));
+            }
+        });
+    }
+}
+
+/// A tap that captures every event: [`finish`](TraceSession::finish)
+/// removes it and returns what it saw, oldest first. Under
+/// `--cfg iorch_trace_off` nothing is recorded and `finish` returns an
+/// empty `Vec`.
 pub struct TraceSession {
-    _private: (),
+    events: Rc<RefCell<Vec<TraceEvent>>>,
+    _tap: TapSession,
 }
 
 impl TraceSession {
-    /// Install a recorder with [`DEFAULT_CAPACITY`].
+    /// Start capturing on this thread.
     pub fn new() -> Self {
-        install(DEFAULT_CAPACITY);
-        TraceSession { _private: () }
+        let events = Rc::new(RefCell::new(Vec::new()));
+        let sink = Rc::clone(&events);
+        let _tap = TapSession::new(Box::new(move |t, kind| {
+            sink.borrow_mut().push(TraceEvent {
+                t,
+                kind: kind.clone(),
+            })
+        }));
+        TraceSession { events, _tap }
     }
 
-    /// Install a recorder with an explicit capacity.
-    pub fn with_capacity(capacity: usize) -> Self {
-        install(capacity);
-        TraceSession { _private: () }
-    }
-
-    /// Stop recording and return the captured events (oldest first).
-    pub fn finish(self) -> TraceRecorder {
-        std::mem::forget(self);
-        uninstall().unwrap_or_else(|| TraceRecorder::new(1))
+    /// Stop capturing and return the events, oldest first.
+    pub fn finish(self) -> Vec<TraceEvent> {
+        self.events.take()
     }
 }
 
@@ -602,33 +547,7 @@ impl Default for TraceSession {
     }
 }
 
-impl Drop for TraceSession {
-    fn drop(&mut self) {
-        let _ = uninstall();
-    }
-}
-
-/// RAII guard for a live tap: installs on construction, removes on drop.
-/// See [`set_tap`] for the determinism contract.
-pub struct TapSession {
-    _private: (),
-}
-
-impl TapSession {
-    /// Install `tap` as the thread's live observer.
-    pub fn new(tap: Tap) -> Self {
-        set_tap(tap);
-        TapSession { _private: () }
-    }
-}
-
-impl Drop for TapSession {
-    fn drop(&mut self) {
-        let _ = clear_tap();
-    }
-}
-
-/// Record a trace event when the thread-local recorder is enabled.
+/// Record a trace event when a tap is installed on this thread.
 ///
 /// `$t` is a [`SimTime`](crate::SimTime), `$kind` a
 /// [`TraceEventKind`](crate::trace::TraceEventKind) expression; the
@@ -1218,38 +1137,38 @@ mod tests {
         }
     }
 
-    #[test]
-    fn ring_bounds_and_counts_drops() {
-        let mut r = TraceRecorder::new(2);
-        for i in 0..5 {
-            r.push(ev(i, TraceEventKind::CongestionEnter { dom: 1 }));
-        }
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.dropped(), 3);
-        let evs = r.into_events();
-        assert_eq!(evs[0].t, SimTime::from_nanos(3));
-        assert_eq!(evs[1].t, SimTime::from_nanos(4));
+    fn enter(dom: u32) {
+        crate::trace_event!(
+            SimTime::from_micros(u64::from(dom)),
+            TraceEventKind::CongestionEnter { dom }
+        );
+    }
+
+    /// A tap that appends every event it sees to a shared `Vec`.
+    fn collector() -> (Rc<RefCell<Vec<TraceEvent>>>, TapSession) {
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let sink = Rc::clone(&seen);
+        let tap = TapSession::new(Box::new(move |t, kind| {
+            sink.borrow_mut().push(TraceEvent {
+                t,
+                kind: kind.clone(),
+            })
+        }));
+        (seen, tap)
     }
 
     #[test]
     fn session_captures_through_macro() {
-        if !COMPILED {
-            return;
-        }
-        let session = TraceSession::with_capacity(16);
-        crate::trace_event!(
-            SimTime::from_micros(5),
-            TraceEventKind::CongestionEnter { dom: 7 }
-        );
-        let rec = session.finish();
-        assert_eq!(rec.len(), 1);
+        let session = TraceSession::new();
+        assert_eq!(enabled(), COMPILED);
+        enter(7);
+        let events = session.finish();
+        // Tracing compiled out records nothing at all.
+        assert_eq!(events.len(), usize::from(COMPILED));
         assert!(!enabled());
         // After finish, the macro is a no-op again.
-        crate::trace_event!(
-            SimTime::from_micros(6),
-            TraceEventKind::CongestionEnter { dom: 7 }
-        );
-        assert!(uninstall().is_none());
+        enter(7);
+        assert!(TAPS.with(|t| t.borrow().is_empty()));
     }
 
     #[test]
@@ -1265,53 +1184,51 @@ mod tests {
     }
 
     #[test]
-    fn tap_observes_without_a_recorder() {
+    fn every_tap_sees_the_same_stream() {
         if !COMPILED {
             return;
         }
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let seen: Rc<RefCell<Vec<SimTime>>> = Rc::new(RefCell::new(Vec::new()));
-        let sink = Rc::clone(&seen);
-        let _guard = TapSession::new(Box::new(move |t, _kind| sink.borrow_mut().push(t)));
+        let session = TraceSession::new();
+        let (a, tap_a) = collector();
+        let (b, tap_b) = collector();
+        for dom in 1..=3 {
+            enter(dom);
+        }
+        assert_eq!(a.borrow().len(), 3);
+        assert_eq!(*a.borrow(), *b.borrow());
+        // Dropping one tap leaves the others receiving.
+        drop(tap_a);
+        enter(4);
+        drop(tap_b);
         assert!(enabled());
-        crate::trace_event!(
-            SimTime::from_micros(3),
-            TraceEventKind::CongestionEnter { dom: 1 }
-        );
-        assert_eq!(*seen.borrow(), vec![SimTime::from_micros(3)]);
-        // No recorder was installed, so nothing was retained.
-        assert!(uninstall().is_none());
-        drop(_guard);
+        enter(5);
+        let all = session.finish();
+        assert_eq!(a.borrow().len(), 3);
+        assert_eq!(all[..4], b.borrow()[..]);
+        assert_eq!(all.len(), 5);
         assert!(!enabled());
     }
 
     #[test]
-    fn tap_and_recorder_both_receive_and_ring_is_unchanged_by_tap() {
+    fn tap_emitted_events_reach_no_tap() {
         if !COMPILED {
             return;
         }
-        // Reference run: recorder only.
-        let session = TraceSession::with_capacity(16);
-        crate::trace_event!(
-            SimTime::from_micros(1),
-            TraceEventKind::CongestionEnter { dom: 9 }
-        );
-        let reference = session.finish().into_events();
-
-        // Same events with a tap installed: ring must be byte-identical.
-        let count = std::rc::Rc::new(Cell::new(0u32));
-        let c2 = std::rc::Rc::clone(&count);
-        let guard = TapSession::new(Box::new(move |_, _| c2.set(c2.get() + 1)));
-        let session = TraceSession::with_capacity(16);
-        crate::trace_event!(
-            SimTime::from_micros(1),
-            TraceEventKind::CongestionEnter { dom: 9 }
-        );
-        let tapped = session.finish().into_events();
-        drop(guard);
-        assert_eq!(reference, tapped);
-        assert_eq!(count.get(), 1);
+        let session = TraceSession::new();
+        let echo = TapSession::new(Box::new(|t, kind| {
+            if let TraceEventKind::CongestionEnter { dom } = kind {
+                crate::trace_event!(t, TraceEventKind::CongestionClear { dom: *dom });
+            }
+        }));
+        let (seen, tap) = collector();
+        enter(9);
+        drop((echo, tap));
+        let expected = vec![TraceEvent {
+            t: SimTime::from_micros(9),
+            kind: TraceEventKind::CongestionEnter { dom: 9 },
+        }];
+        assert_eq!(*seen.borrow(), expected);
+        assert_eq!(session.finish(), expected);
     }
 
     #[test]

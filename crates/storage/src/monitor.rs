@@ -3,11 +3,12 @@
 //! The paper's monitoring module "collects physical disk status using
 //! blktrace and reports it to the management module"; the flush policy
 //! fires when "the bandwidth usage of a block device is lower than one
-//! tenth of its capacity". [`DeviceMonitor`] provides exactly those
-//! signals: a sliding-window completed-bytes rate compared against device
-//! capacity, busy-channel utilization, and per-direction counters.
+//! tenth of its capacity". [`DeviceMonitor`] provides exactly that signal
+//! — a sliding-window completed-bytes rate compared against device
+//! capacity, which the policy engine samples once per control tick — plus
+//! per-direction completion counters.
 
-use iorch_metrics::{TimeWeightedGauge, WindowedRate};
+use iorch_metrics::WindowedRate;
 use iorch_simcore::{SimDuration, SimTime};
 
 use crate::request::{IoKind, IoRequest};
@@ -20,8 +21,6 @@ pub const IDLE_BANDWIDTH_FRACTION: f64 = 0.1;
 pub struct DeviceMonitor {
     capacity_bw: u64,
     completed_bytes: WindowedRate,
-    busy_channels: TimeWeightedGauge,
-    total_channels: usize,
     reads: u64,
     writes: u64,
     read_bytes: u64,
@@ -29,14 +28,12 @@ pub struct DeviceMonitor {
 }
 
 impl DeviceMonitor {
-    /// Monitor for a device with the given aggregate bandwidth capacity and
-    /// channel count, sampling bandwidth over `window`.
-    pub fn new(capacity_bw: u64, total_channels: usize, window: SimDuration) -> Self {
+    /// Monitor for a device with the given aggregate bandwidth capacity,
+    /// sampling bandwidth over `window`.
+    pub fn new(capacity_bw: u64, window: SimDuration) -> Self {
         DeviceMonitor {
             capacity_bw,
             completed_bytes: WindowedRate::new(window),
-            busy_channels: TimeWeightedGauge::new(SimTime::ZERO, 0.0),
-            total_channels: total_channels.max(1),
             reads: 0,
             writes: 0,
             read_bytes: 0,
@@ -59,12 +56,6 @@ impl DeviceMonitor {
         }
     }
 
-    /// Record the number of busy channels changing.
-    pub fn on_busy_channels(&mut self, now: SimTime, busy: usize) {
-        self.busy_channels
-            .set(now, busy as f64 / self.total_channels as f64);
-    }
-
     /// Bandwidth over the sampling window as a fraction of capacity.
     pub fn bandwidth_fraction(&mut self, now: SimTime) -> f64 {
         if self.capacity_bw == 0 {
@@ -76,16 +67,6 @@ impl DeviceMonitor {
     /// The paper's flush trigger: usage below one tenth of capacity.
     pub fn is_underutilized(&mut self, now: SimTime) -> bool {
         self.bandwidth_fraction(now) < IDLE_BANDWIDTH_FRACTION
-    }
-
-    /// Time-weighted average busy-channel fraction.
-    pub fn avg_utilization(&self, now: SimTime) -> f64 {
-        self.busy_channels.average(now)
-    }
-
-    /// Instantaneous busy-channel fraction.
-    pub fn current_utilization(&self) -> f64 {
-        self.busy_channels.current()
     }
 
     /// (reads, writes) completed so far.
@@ -122,7 +103,7 @@ mod tests {
 
     #[test]
     fn idle_device_is_underutilized() {
-        let mut m = DeviceMonitor::new(1_000_000, 4, SimDuration::from_millis(100));
+        let mut m = DeviceMonitor::new(1_000_000, SimDuration::from_millis(100));
         assert!(m.is_underutilized(SimTime::from_millis(500)));
         assert_eq!(m.bandwidth_fraction(SimTime::from_millis(500)), 0.0);
     }
@@ -130,7 +111,7 @@ mod tests {
     #[test]
     fn busy_device_is_not_underutilized() {
         // Capacity 1 MB/s, window 100ms -> 100_000 bytes fill the window.
-        let mut m = DeviceMonitor::new(1_000_000, 4, SimDuration::from_millis(100));
+        let mut m = DeviceMonitor::new(1_000_000, SimDuration::from_millis(100));
         let t = SimTime::from_millis(200);
         m.on_complete(t, &req(IoKind::Read, 50_000));
         // 50_000 bytes / 0.1s = 500_000 B/s = 50% of capacity.
@@ -142,7 +123,7 @@ mod tests {
 
     #[test]
     fn threshold_is_one_tenth() {
-        let mut m = DeviceMonitor::new(1_000_000, 1, SimDuration::from_millis(100));
+        let mut m = DeviceMonitor::new(1_000_000, SimDuration::from_millis(100));
         let t = SimTime::from_millis(100);
         m.on_complete(t, &req(IoKind::Write, 9_000)); // 9% of capacity
         assert!(m.is_underutilized(t));
@@ -152,21 +133,11 @@ mod tests {
 
     #[test]
     fn counters_split_by_direction() {
-        let mut m = DeviceMonitor::new(1_000_000, 1, SimDuration::from_millis(100));
+        let mut m = DeviceMonitor::new(1_000_000, SimDuration::from_millis(100));
         m.on_complete(SimTime::ZERO, &req(IoKind::Read, 100));
         m.on_complete(SimTime::ZERO, &req(IoKind::Write, 200));
         m.on_complete(SimTime::ZERO, &req(IoKind::Write, 300));
         assert_eq!(m.op_counts(), (1, 2));
         assert_eq!(m.byte_counts(), (100, 500));
-    }
-
-    #[test]
-    fn utilization_tracks_busy_channels() {
-        let mut m = DeviceMonitor::new(1_000_000, 4, SimDuration::from_millis(100));
-        m.on_busy_channels(SimTime::ZERO, 4);
-        m.on_busy_channels(SimTime::from_millis(50), 0);
-        let avg = m.avg_utilization(SimTime::from_millis(100));
-        assert!((avg - 0.5).abs() < 1e-9, "avg={avg}");
-        assert_eq!(m.current_utilization(), 0.0);
     }
 }

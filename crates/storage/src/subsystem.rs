@@ -67,7 +67,6 @@ pub struct StorageSubsystem {
     params: SubsystemParams,
     rng: SimRng,
     merged: u64,
-    submitted: u64,
     faults: Option<FaultPlan>,
 }
 
@@ -75,7 +74,7 @@ impl StorageSubsystem {
     /// Wrap a device model.
     pub fn new(device: Box<dyn DeviceModel>, params: SubsystemParams, rng: SimRng) -> Self {
         let channels = device.channels();
-        let monitor = DeviceMonitor::new(device.max_bandwidth(), channels, params.monitor_window);
+        let monitor = DeviceMonitor::new(device.max_bandwidth(), params.monitor_window);
         StorageSubsystem {
             device,
             queue: WfqQueue::new(),
@@ -85,7 +84,6 @@ impl StorageSubsystem {
             params,
             rng,
             merged: 0,
-            submitted: 0,
             faults: None,
         }
     }
@@ -111,7 +109,6 @@ impl StorageSubsystem {
     /// Submit a request to the host queue, merging if possible, and start
     /// it immediately if a channel is idle.
     pub fn submit(&mut self, req: IoRequest, now: SimTime) {
-        self.submitted += 1;
         if self.queue.try_merge(&req, self.params.max_merged_len) {
             self.merged += 1;
         } else {
@@ -124,7 +121,6 @@ impl StorageSubsystem {
     /// up to its stripe parallelism in idle channels so aggregate
     /// bandwidth is conserved.
     fn kick(&mut self, now: SimTime) {
-        let mut changed = false;
         loop {
             let idle: Vec<usize> = (0..self.channels.len())
                 .filter(|&c| matches!(self.channels[c], Slot::Idle))
@@ -164,10 +160,6 @@ impl StorageSubsystem {
                 self.channels[c] = Slot::Reserved(done_at);
             }
             self.busy_count += k;
-            changed = true;
-        }
-        if changed {
-            self.monitor.on_busy_channels(now, self.busy_count);
         }
     }
 
@@ -214,7 +206,6 @@ impl StorageSubsystem {
                 }
             );
         }
-        self.monitor.on_busy_channels(now, self.busy_count);
         self.kick(now);
         done.into_iter().map(|(_, r)| r).collect()
     }
@@ -227,11 +218,6 @@ impl StorageSubsystem {
     /// Number of requests in flight on device channels.
     pub fn in_flight(&self) -> usize {
         self.busy_count
-    }
-
-    /// Total requests accepted (including those later merged away).
-    pub fn submitted_count(&self) -> u64 {
-        self.submitted
     }
 
     /// How many submissions were absorbed by merging.

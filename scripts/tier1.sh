@@ -9,7 +9,6 @@ cargo fmt --check
 cargo build --release --offline
 cargo clippy --workspace --offline --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
-cargo test -q --offline
 cargo test -q --offline --workspace
 
 # The benchmark harness builds the workspace crates from source by path,
@@ -96,7 +95,7 @@ cargo test -q --offline -p iorch-bench --release --test scheduler_differential
 # fan-out, control tick, scheduler churn) drops below its threshold.
 scripts/bench_hotpath.sh
 
-# The trace recorder must also build and pass with the instrumentation
+# The trace layer must also build and pass with the instrumentation
 # compiled out (the production hot-path configuration).
 export RUSTFLAGS="${RUSTFLAGS:-} --cfg iorch_trace_off"
 cargo build --release --offline --workspace
